@@ -8,7 +8,8 @@ output, a line-delimited JSON result cache, and a fixed exit-code contract:
 
 Every command is deterministic for fixed flags with workers=1; the cache
 (enabled via --cache or UPLAB_CACHE_DIR) only skips work, never changes
-results, though reused entries report work=0.
+results, though reused entries report work=0.  A command registers only the
+shared flags it uses, so an unused one is a usage error, not ignored.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .cyclic import (DEFAULT_BUDGET, CyclicCode, DistanceResult, min_distance,
                      mu, strong_up_witness)
 from .gf import DomainError, InternalError
 from .mstransform import ms_forward, naive_up_check, naive_up_scan
-from .polyring import cyclotomic_cosets, factor_xn_minus_1
+from .polyring import _ALPHABET, cyclotomic_cosets, factor_xn_minus_1
 from .ramsey import (ap_scan_bound, prop_ram_grid_lower, prop_ram_lower,
                      szemeredi_grid, szemeredi_r)
 from .asymptotics import (ball_volume_upper, construction_demo, entropy, f_alpha,
@@ -84,6 +85,12 @@ class Cache:
             print(f"cache: cannot write {self.path} ({e}); continuing without", file=sys.stderr)
             self.writable = False
 
+    def store(self, rec):
+        """Write back the exact distances a mu run computed (work > 0)."""
+        for code, res in rec.per_divisor:
+            if res.exact and res.work > 0:
+                self.put(code, res)
+
 
 def _emit(obj, fmt):
     if fmt == "json":
@@ -117,8 +124,14 @@ def _cell(v):
     return str(v)
 
 
+def _cache_path(args):
+    if not hasattr(args, "cache"):
+        return None
+    return args.cache or os.environ.get("UPLAB_CACHE_DIR")
+
+
 def _cache_from(args):
-    path = args.cache or os.environ.get("UPLAB_CACHE_DIR")
+    path = _cache_path(args)
     if not path:
         return None
     if os.path.isdir(path):
@@ -141,9 +154,7 @@ def cmd_mu(args):
     cache = _cache_from(args)
     rec = mu(args.n, args.q, args.budget, args.workers, cache)
     if cache is not None:
-        for code, res in rec.per_divisor:
-            if res.exact and res.work > 0:
-                cache.put(code, res)
+        cache.store(rec)
     _emit(rec.json_dict(include_divisors=args.divisors), args.format)
     return EXIT_OK if rec.exact else EXIT_PARTIAL
 
@@ -164,8 +175,6 @@ def cmd_mindist(args):
 
 
 def cmd_ms(args):
-    from .polyring import _ALPHABET
-
     try:
         word = tuple(_ALPHABET.index(ch) for ch in args.word.strip().lower())
     except ValueError:
@@ -200,6 +209,9 @@ def cmd_ramsey(args):
 def cmd_weak_up(args):
     cache = _cache_from(args)
     rows = weak_up_scan(args.q, args.eps, args.lam, args.pmax, args.budget, cache)
+    if cache is not None:
+        for r in rows:
+            cache.store(r.record)
     _emit([r.json_dict() for r in rows], args.format)
     if any(not r.mu_exact for r in rows):
         return EXIT_PARTIAL
@@ -251,9 +263,7 @@ def cmd_table(args):
         expected = MU_TABLE_F2.get(p) if args.q == 2 else None
         rec = mu(p, args.q, args.budget, args.workers, cache)
         if cache is not None:
-            for code, res in rec.per_divisor:
-                if res.exact and res.work > 0:
-                    cache.put(code, res)
+            cache.store(rec)
         if rec.exact:
             if expected is None:
                 status = "computed"
@@ -285,14 +295,35 @@ def cmd_strong_up(args):
     return EXIT_OK
 
 
-def _add_common(sp):
+# the shared flags; each command registers the ones it reads
+_COMMON = {
+    "budget": dict(type=int, default=DEFAULT_BUDGET,
+                   help="max codeword evaluations per distance computation"),
+    "workers": dict(type=int, default=1),
+    "seed": dict(type=int, default=0),
+    "cache": dict(default=None, help="cache file or directory (UPLAB_CACHE_DIR is the fallback)"),
+}
+
+# commands whose input or output holds generator or word digit strings
+_DIGIT_COMMANDS = {"factor", "mu", "mindist", "ms", "up-scan", "table", "strong-up"}
+
+
+def _add_common(sp, *flags):
     sp.add_argument("--format", choices=["json", "csv", "table"], default="json")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="max codeword evaluations per distance computation")
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cache", default=None,
-                    help="cache file or directory (UPLAB_CACHE_DIR is the fallback)")
+    for flag in flags:
+        sp.add_argument(f"--{flag}", **_COMMON[flag])
+
+
+def _refuse_wide_q(args):
+    """Digit strings (generators, words, cache keys) use 0-9a-z, so a command
+    that reads or writes one refuses q > 36 before it computes anything."""
+    q = getattr(args, "q", None)
+    if q is None or q <= len(_ALPHABET):
+        return
+    if (args.command in _DIGIT_COMMANDS or _cache_path(args)
+            or (args.command == "asym" and args.what == "construction")):
+        raise DomainError(f"q = {q}: generator and word strings use the digits 0-9a-z, "
+                          f"so this command needs q <= {len(_ALPHABET)}")
 
 
 def build_parser():
@@ -312,14 +343,14 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--divisors", action="store_true", help="include per-divisor records")
-    _add_common(p)
+    _add_common(p, "budget", "workers", "cache")
     p.set_defaults(fn=cmd_mu)
 
     p = sub.add_parser("mindist", help="minimum distance of the code generated by --gen")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--gen", required=True, help="generator, digits lowest degree first")
-    _add_common(p)
+    _add_common(p, "budget", "workers", "cache")
     p.set_defaults(fn=cmd_mindist)
 
     p = sub.add_parser("ms", help="transform a word and check the weight-product inequality")
@@ -334,7 +365,7 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
     p.add_argument("--trials", type=int, default=10000)
-    _add_common(p)
+    _add_common(p, "seed")
     p.set_defaults(fn=cmd_up_scan)
 
     p = sub.add_parser("ramsey", help="largest pattern-free subset of Z/nZ")
@@ -351,7 +382,7 @@ def build_parser():
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
     p.add_argument("--pmax", type=int, required=True)
-    _add_common(p)
+    _add_common(p, "budget", "cache")
     p.set_defaults(fn=cmd_weak_up)
 
     p = sub.add_parser("asym", help="closed-form evaluators")
@@ -366,7 +397,7 @@ def build_parser():
     p.add_argument("--R", type=float, default=0.5)
     p.add_argument("--composite-ok", action="store_true",
                    help="ram-bound without the primality requirement (no invariant check)")
-    _add_common(p)
+    _add_common(p, "budget", "seed")
     p.set_defaults(fn=cmd_asym)
 
     p = sub.add_parser("table", help="recompute the F_2 invariant table and diff")
@@ -374,13 +405,13 @@ def build_parser():
     p.add_argument("--primes", default=None, help="comma list; default 7,17,23,31,41,43,47")
     p.add_argument("--strict-exact", action="store_true",
                    help="exit 3 when any row is only a bracket")
-    _add_common(p)
+    _add_common(p, "budget", "workers", "cache")
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("strong-up", help="witness that distance+dimension collapses at prime length")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    _add_common(p)
+    _add_common(p, "budget", "workers")
     p.set_defaults(fn=cmd_strong_up)
 
     return ap
@@ -393,6 +424,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
+        _refuse_wide_q(args)
         return args.fn(args)
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -2,10 +2,16 @@
 
 Provides enumeration of every code of a given length, the BCH and
 Hartmann-Tzeng designed-distance bounds, exact minimum distance (packed
-Gray-code enumeration, with a multi-information-set deepening fallback for
+Gray-code enumeration, with an information-set deepening fallback for
 dimensions beyond the budget), and the invariant
 
     mu(q, n) = min over nonzero codes of (minimum distance + dimension).
+
+Two facts about cyclic codes keep the fallback cheap.  Every k cyclically
+consecutive coordinates form an information set, so one systematic basis
+certifies a bound over all n windows at once.  And a unit u mod n maps the
+code with zero set Z onto the code with zero set uZ (x -> x^u permutes
+coordinates), so mu computes one distance per multiplier orbit.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +28,8 @@ from .gf import DomainError, InternalError, PrimePower
 from .polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
 
 DEFAULT_BUDGET = 1 << 28
+_WORD = 0xFFFFFFFFFFFFFFFF
+_BLOCK = 1 << 20  # array entries per vectorised pass in the bounds and the deepening scans
 _ENUM_CAP_T = 30  # refuse enumerating 2^t divisor lattices beyond this
 
 
@@ -60,6 +69,12 @@ class CyclicCode:
         if len(zeros) != gen.degree:
             raise InternalError("zero count disagrees with generator degree")
         return cls(field, n, gen, tuple(sorted(zeros)), n - gen.degree)
+
+    @cached_property
+    def _bch(self) -> int:
+        """bch_bound of the zero set, computed once per code object; mu and
+        min_distance both need it."""
+        return bch_bound(self.zeros, self.n)
 
     def __repr__(self):
         return f"CyclicCode([{self.n},{self.dim}] over F_{self.q}, gen={self.gen_string()!r})"
@@ -154,7 +169,9 @@ def enumerate_codes(n: int, q) -> list:
                 gen = gen * factors[i]
                 zeros.extend(part.cosets[i])
         codes.append(CyclicCode(field, n, gen, tuple(sorted(zeros)), n - gen.degree))
-    codes.sort(key=lambda c: (c.gen.degree, c.gen_string()))
+    # for q <= 36 this is the order of (degree, generator string): same-degree
+    # strings have equal length over an alphabet sorted by digit value
+    codes.sort(key=lambda c: (c.gen.degree, c.gen.coeffs))
     return codes
 
 
@@ -164,31 +181,28 @@ def enumerate_codes(n: int, q) -> list:
 
 def bch_bound(zeros, n: int) -> int:
     """Largest delta with delta-1 zeros in arithmetic progression, any stride
-    coprime to n.  Empty zero sets give 1."""
+    coprime to n.  Empty zero sets give 1.
+
+    Stride -b walks the runs of stride b backwards, so only b <= n/2 is
+    scanned, all strides in one numpy pass; each walk covers Z/n twice so
+    that runs wrapping around are caught."""
     zs = set(zeros)
     if not zs:
         return 1
     if len(zs) >= n:
         return n + 1
-    member = [i in zs for i in range(n)]
-    best = 1
-    for b in range(1, n):
-        if math.gcd(b, n) != 1:
-            continue
-        run = 0
-        longest = 0
-        # the stride-b cycle covers Z/n once; scan it twice for wraparound
-        pos = 0
-        for _ in range(2 * n):
-            if member[pos]:
-                run += 1
-                if run > longest:
-                    longest = run
-            else:
-                run = 0
-            pos = (pos + b) % n
-        best = max(best, min(longest, n - 1) + 1)
-    return best
+    member = np.zeros(n, bool)
+    member[list(zs)] = True
+    strides = np.array([b for b in range(1, n // 2 + 1) if math.gcd(b, n) == 1])
+    steps = np.arange(2 * n)
+    chunk = max(1, _BLOCK // (2 * n))  # strides per pass, to bound memory at large n
+    longest = 0
+    for lo in range(0, len(strides), chunk):
+        walks = member[np.outer(strides[lo:lo + chunk], steps) % n]
+        # run length at each step: steps since the last non-zero (-1 before any)
+        last_gap = np.maximum.accumulate(np.where(walks, -1, steps), axis=1)
+        longest = max(longest, int((steps - last_gap).max()))
+    return min(longest, n - 1) + 1
 
 
 def _runs_plus1(member, n):
@@ -259,46 +273,40 @@ def _best_window(seq, n):
 # generator matrices
 
 
-def _shift_mask(g_int, shift, n):
-    mask = (1 << n) - 1
-    return ((g_int << shift) | (g_int >> (n - shift))) & mask if shift else g_int & mask
-
-
-def _systematic_rows_q2(code: CyclicCode, offset: int = 0):
-    """Row basis (bitmask ints) in systematic form on columns offset..offset+k-1."""
-    n, k = code.n, code.dim
+def _systematic_rows_q2(code: CyclicCode):
+    """Row basis (bitmask ints) in systematic form on columns 0..k-1."""
+    k = code.dim
     g_int = 0
     for i, c in enumerate(code.gen.coeffs):
         g_int |= c << i
-    rows = [_shift_mask(g_int, (offset + i) % n, n) for i in range(k)]
+    rows = [g_int << i for i in range(k)]  # deg g = n-k, so no shift wraps
     for j in range(k):
-        col = (offset + j) % n
-        piv = next((r for r in range(j, k) if rows[r] >> col & 1), None)
+        piv = next((r for r in range(j, k) if rows[r] >> j & 1), None)
         if piv is None:
-            raise InternalError("window is not an information set")
+            raise InternalError("columns 0..k-1 are not an information set")
         rows[j], rows[piv] = rows[piv], rows[j]
         for r in range(k):
-            if r != j and rows[r] >> col & 1:
+            if r != j and rows[r] >> j & 1:
                 rows[r] ^= rows[j]
     return rows
 
 
-def _systematic_rows_qp(code: CyclicCode, offset: int = 0):
-    """Same as above for prime q > 2, as a numpy int16 matrix."""
+def _systematic_rows_qp(code: CyclicCode):
+    """Same as above for prime q > 2, as a numpy int64 matrix (entries below
+    q, products below q^2, so no intermediate overflows)."""
     n, k, p = code.n, code.dim, code.field.p
-    base = np.zeros(n, np.int16)
+    base = np.zeros(n, np.int64)
     base[: len(code.gen.coeffs)] = code.gen.coeffs
-    rows = np.stack([np.roll(base, (offset + i) % n) for i in range(k)])
+    rows = np.stack([np.roll(base, i) for i in range(k)])
     for j in range(k):
-        col = (offset + j) % n
-        piv = next((r for r in range(j, k) if rows[r, col]), None)
+        piv = next((r for r in range(j, k) if rows[r, j]), None)
         if piv is None:
-            raise InternalError("window is not an information set")
+            raise InternalError("columns 0..k-1 are not an information set")
         rows[[j, piv]] = rows[[piv, j]]
-        rows[j] = rows[j] * pow(int(rows[j, col]), p - 2, p) % p
+        rows[j] = rows[j] * pow(int(rows[j, j]), p - 2, p) % p
         for r in range(k):
-            if r != j and rows[r, col]:
-                rows[r] = (rows[r] - rows[r, col] * rows[j]) % p
+            if r != j and rows[r, j]:
+                rows[r] = (rows[r] - rows[r, j] * rows[j]) % p
     return rows
 
 
@@ -313,17 +321,21 @@ def _gray_low_tables(rows, n, klo):
     for s in range(nslots):
         f = np.zeros(1 << klo, np.uint64)
         for b in range(klo):
-            f[(1 << b):: (1 << (b + 1))] = (rows[b] >> (64 * s)) & 0xFFFFFFFFFFFFFFFF
+            f[(1 << b):: (1 << (b + 1))] = (rows[b] >> (64 * s)) & _WORD
         tables.append(np.bitwise_xor.accumulate(f))
     return tables
 
 
 def _block_min_weight(tables, hi_cw, skip_first):
+    """Min weight of hi_cw XOR each tabled codeword (one table per 64-bit word)."""
     acc = None
     for s, tab in enumerate(tables):
-        part = tab if hi_cw == 0 else tab ^ np.uint64((hi_cw >> (64 * s)) & 0xFFFFFFFFFFFFFFFF)
+        part = tab if hi_cw == 0 else tab ^ np.uint64((hi_cw >> (64 * s)) & _WORD)
         cnt = np.bitwise_count(part)
-        acc = cnt if acc is None else acc + cnt
+        if acc is None:  # one byte per count holds weights below 256, so up to 3 words
+            acc = cnt if len(tables) <= 3 else cnt.astype(np.uint16)
+        else:
+            acc += cnt
     if skip_first:
         acc = acc[1:]
     return int(acc.min())
@@ -386,16 +398,21 @@ def _min_weight_qp(rows, q, stop_at, budget):
 
     A position of the shifted block vanishes iff the low-table entry equals
     the negation of the high-part codeword there, so weights come from one
-    equality comparison instead of an add-and-reduce pass.
+    equality comparison instead of an add-and-reduce pass.  The table holds
+    residues in the smallest unsigned type (one byte up to q = 256) and is
+    built one message digit at a time, each sum of two residues in a type
+    wide enough for it; products are formed in int64.
     """
     k, n = rows.shape
     klo = 1
     while q ** (klo + 1) <= (1 << 16) and klo < k:
         klo += 1
     nlo = q**klo
-    idx = np.arange(nlo)
-    mlo = np.stack([(idx // q**j) % q for j in range(klo)], axis=1).astype(np.int16)
-    lowtab = ((mlo @ rows[:klo]) % q).astype(np.int8)
+    residue, wide = np.min_scalar_type(q - 1), np.min_scalar_type(2 * (q - 1))
+    lowtab = np.zeros((1, n), residue)
+    for j in range(klo):  # row d * q^j + i of the next table is row i plus d * rows[j]
+        multiples = (np.arange(q)[:, None] * rows[j] % q).astype(wide)
+        lowtab = ((lowtab.astype(wide) + multiples[:, None, :]) % q).astype(residue).reshape(-1, n)
     best = n + 1
     work = 0
     for hi in range(q ** (k - klo)):
@@ -408,8 +425,8 @@ def _min_weight_qp(rows, q, stop_at, budget):
             for _ in range(k - klo):
                 digits.append(v % q)
                 v //= q
-            hi_cw = (np.asarray(digits, np.int16) @ rows[klo:]) % q
-            neg = ((q - hi_cw) % q).astype(np.int8)
+            hi_cw = (np.asarray(digits, np.int64) @ rows[klo:]) % q
+            neg = ((q - hi_cw) % q).astype(residue)
             zmax = int((lowtab == neg).sum(axis=1, dtype=np.int16).max())
             work += nlo
         w = n - zmax
@@ -461,133 +478,94 @@ def _min_weight_generic(code: CyclicCode, stop_at):
 # information-set deepening (dimension beyond the exhaustive budget)
 
 
-def _basis_rows_q2(code: CyclicCode, cols):
-    """Basis as bitmask ints with pivots chosen greedily along cols; returns
-    (rows, pivot columns in priority order)."""
-    n, k = code.n, code.dim
-    g_int = 0
-    for i, c in enumerate(code.gen.coeffs):
-        g_int |= c << i
-    rows = [_shift_mask(g_int, i, n) for i in range(k)]
-    pivots = []
-    for col in cols:
-        r = len(pivots)
-        piv = next((i for i in range(r, k) if rows[i] >> col & 1), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(k):
-            if i != r and rows[i] >> col & 1:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        if len(pivots) == k:
-            break
-    if len(pivots) < k:
-        raise InternalError("generator rows lost rank during reduction")
-    return rows, pivots
+def _scan_weight_w_q2(rows, n, w):
+    """Min codeword weight over the messages of weight exactly w (binary rows).
 
-
-def _basis_rows_qp(code: CyclicCode, cols):
-    n, k, p = code.n, code.dim, code.field.p
-    base = np.zeros(n, np.int16)
-    base[: len(code.gen.coeffs)] = code.gen.coeffs
-    rows = np.stack([np.roll(base, i) for i in range(k)])
-    pivots = []
-    for col in cols:
-        r = len(pivots)
-        piv = next((i for i in range(r, k) if rows[i, col]), None)
-        if piv is None:
-            continue
-        rows[[r, piv]] = rows[[piv, r]]
-        rows[r] = rows[r] * pow(int(rows[r, col]), p - 2, p) % p
-        for i in range(k):
-            if i != r and rows[i, col]:
-                rows[i] = (rows[i] - rows[i, col] * rows[r]) % p
-        pivots.append(col)
-        if len(pivots) == k:
-            break
-    if len(pivots) < k:
-        raise InternalError("generator rows lost rank during reduction")
-    return rows, pivots
-
-
-def _scan_weight_w_q2(rows, w, upper):
-    """Min codeword weight over messages of weight exactly w (binary rows)."""
+    The XORs of all m-subsets of rows are tabled once, in lexicographic
+    order, so those starting past a given row form a suffix; each outer
+    (w-m)-subset is XORed onto the suffix after its last row.  m = min(w, 3),
+    lowered while the table would exceed _BLOCK words.
+    """
     k = len(rows)
-    best = upper
+    nwords = (n + 63) // 64
+    m = min(w, 3)
+    while m > 1 and math.comb(k, m) * nwords > _BLOCK:
+        m -= 1
+    subsets = np.array(list(itertools.combinations(range(k), m)))
+    tables = [np.bitwise_xor.reduce(np.array([(r >> (64 * s)) & _WORD for r in rows],
+                                             np.uint64)[subsets], axis=1)
+              for s in range(nwords)]
+    suffix = np.searchsorted(subsets[:, 0], np.arange(k + 1))
+    best = n + 1
+    for outer in itertools.combinations(range(k - m), w - m):
+        lo = suffix[outer[-1] + 1] if outer else 0
+        hi_cw = 0
+        for i in outer:
+            hi_cw ^= rows[i]
+        best = min(best, _block_min_weight([t[lo:] for t in tables], hi_cw, False))
+    return best
 
-    def rec(start, depth, acc):
-        nonlocal best
-        if depth == w:
-            wt = acc.bit_count()
-            if wt < best:
-                best = wt
-            return
-        for i in range(start, k - (w - depth) + 1):
-            rec(i + 1, depth + 1, acc ^ rows[i])
 
-    rec(0, 0, 0)
+def _scan_weight_w_qp(rows, p, w):
+    """Same over a prime field: the first coefficient is fixed to 1, since a
+    scalar multiple of a codeword has its weight.  The last t coefficients
+    are tabled, t as large as keeps the table within _BLOCK entries; the
+    others are looped over."""
+    k, n = rows.shape
+    t = w - 1
+    while t and (p - 1) ** t * n > _BLOCK:
+        t -= 1
+    tails = list(itertools.product(range(1, p), repeat=t))
+    tail = np.array(tails, np.int64).reshape(len(tails), t)
+    best = n + 1
+    for combo in itertools.combinations(range(k), w):
+        sub = rows[list(combo)]
+        tail_words = tail @ sub[w - t:]
+        for head in itertools.product(range(1, p), repeat=w - 1 - t):
+            lead = sub[0] + np.asarray(head, np.int64) @ sub[1:w - t]
+            words = (lead + tail_words) % p
+            best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
 
 
 def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
                  target: int | None = None) -> DistanceResult:
-    """Deepen over disjoint column windows, each with its own basis pivoted
-    inside the window.  After all messages of weight <= w are covered in a
-    basis with r of its k pivots inside a window, an unseen codeword weighs
-    at least w+1 - (k-r) there; the windows are disjoint, so the bounds add.
-    For a cyclic code every window of <= k consecutive columns has full rank,
-    so the leftover n mod k columns still contribute.
+    """Deepen over the messages of weight w = 1, 2, ... in the systematic
+    basis on columns 0..k-1, counting one message per scalar class.
+
+    Every k cyclically consecutive columns of a cyclic code form an
+    information set, and the code is closed under shifts.  Once all messages
+    of weight <= w are covered, a minimum-weight codeword not yet seen has
+    more than w nonzeros in each of its n cyclic windows; each coordinate
+    lies in k windows, so its weight is at least ceil(n(w+1)/k).  The
+    certified lower bound is min(upper, max(bch, that)).
 
     A target stops the deepening once the certified lower bound reaches it
     (the caller has established the code cannot matter past that point)."""
     n, k, q = code.n, code.dim, code.q
-    binary = q == 2
-    windows = [(i * k, k) for i in range(n // k)]
-    if n % k:
-        windows.append(((n // k) * k, n % k))
-    bases = []
-    ranks = []
-    for off, width in windows:
-        cols = [(off + j) % n for j in range(width)]
-        cols += [(off + width + j) % n for j in range(n - width)]
-        rows, pivots = (_basis_rows_q2(code, cols) if binary
-                        else _basis_rows_qp(code, cols))
-        bases.append(rows)
-        ranks.append(sum(1 for c in pivots if c in set(cols[:width])))
-    if binary:
-        upper = min(min(r.bit_count() for r in rows) for rows in bases)
+    if q == 2:
+        rows = _systematic_rows_q2(code)
+        upper = min(r.bit_count() for r in rows)
     else:
-        upper = min(int(np.count_nonzero(rows, axis=1).min()) for rows in bases)
-    work = len(bases) * k * (q - 1)
-    scalars = list(range(1, q))
-    w = 1  # rounds of message weight <= w are complete in every basis
+        rows = _systematic_rows_qp(code)
+        upper = int(np.count_nonzero(rows, axis=1).min())
+    work = k
+    w = 1  # every message of weight <= w has been seen
     while True:
-        lower = max(bch_lower, sum(max(0, (w + 1) - (k - r)) for r in ranks))
-        lower = min(lower, upper)
+        lower = min(upper, max(bch_lower, -(-n * (w + 1) // k)))
         if lower >= upper or w >= k:
             return DistanceResult(upper, upper, True, "bz", work)
         if target is not None and lower >= target:
             return DistanceResult(lower, upper, False, "bz", work)
-        wn = w + 1
-        round_cost = math.comb(k, wn) * (q - 1) ** wn * len(bases)
+        w += 1
+        round_cost = math.comb(k, w) * (q - 1) ** (w - 1)
         if work + round_cost > budget:
-            return DistanceResult(lower, upper, lower == upper, "bz", work)
-        for rows in bases:
-            if binary:
-                upper = _scan_weight_w_q2(rows, wn, upper)
-                work += math.comb(k, wn)
-            else:
-                for combo in itertools.combinations(range(k), wn):
-                    for coefs in itertools.product(scalars, repeat=wn):
-                        cw = np.zeros(n, np.int16)
-                        for i, c in zip(combo, coefs):
-                            cw = (cw + c * rows[i]) % code.field.p
-                        wgt = int(np.count_nonzero(cw))
-                        work += 1
-                        if wgt < upper:
-                            upper = wgt
-        w = wn
+            return DistanceResult(lower, upper, False, "bz", work)
+        if q == 2:
+            upper = min(upper, _scan_weight_w_q2(rows, n, w))
+        else:
+            upper = min(upper, _scan_weight_w_qp(rows, q, w))
+        work += round_cost
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +578,7 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, workers: int = 
     tier, which returns exact if its bracket closes and a bracket otherwise.
     lower_target lets a caller accept any certified bound reaching it."""
     k, n, q = code.dim, code.n, code.q
-    lower = bch_bound(code.zeros, n)
+    lower = code._bch
     if k == 0:
         raise DomainError("zero code has no distance")
     if q**k <= budget:
@@ -621,35 +599,66 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, workers: int = 
     return _bz_distance(code, lower, budget, lower_target)
 
 
+def _multiplier_reps(n: int, q: int) -> list:
+    """One unit u from each coset of <q> in (Z/n)*, smallest first."""
+    reps, seen = [], set()
+    for u in range(1, max(n, 2)):
+        if math.gcd(u, n) != 1 or u in seen:
+            continue
+        reps.append(u)
+        while u not in seen:
+            seen.add(u)
+            u = u * q % n
+    return reps
+
+
+def _orbit_key(zeros, n: int, reps) -> tuple:
+    """The least sorted u*Z mod n over the multipliers: codes with the same key
+    are equivalent under a coordinate permutation x -> x^u and share d."""
+    return min(tuple(sorted(u * z % n for z in zeros)) for u in reps)
+
+
 def mu(n: int, q, budget: int = DEFAULT_BUDGET, workers: int = 1, cache=None) -> MuRecord:
     """min(d + dim) over all nonzero cyclic codes of length n over F_q.
 
     Divisors are processed smallest dimension first with a best-so-far bound
     B; a code whose dim + bch bound already reaches B is recorded with its
-    bch bracket and skipped, which cannot change the minimum.  The result
-    equals the unpruned computation; it degrades to a bracket only if some
-    needed distance came back inexact under the budget.
+    bch bracket and skipped, which cannot change the minimum.  A code
+    equivalent to one already computed (same multiplier orbit) reuses that
+    result, with work 0, when it is exact or its lower bound reaches the
+    current target.  The result equals the unpruned computation; it degrades
+    to a bracket only if some needed distance came back inexact under the
+    budget.
     """
     field = q if isinstance(q, PrimePower) else PrimePower.from_int(q)
     codes = enumerate_codes(n, field)
-    order = sorted(range(len(codes)), key=lambda i: (codes[i].dim, codes[i].gen_string()))
+    order = sorted(range(len(codes)), key=lambda i: (codes[i].dim, codes[i].gen.coeffs))
+    reps = _multiplier_reps(n, field.q)
     results = [None] * len(codes)
+    orbit_results = {}
     best = None  # (sum, position in processing order)
     inexact = []
     for pos, i in enumerate(order):
         code = codes[i]
-        key = (code.q, code.n, code.gen_string())
-        cached = cache.get(key) if cache is not None else None
+        orbit = _orbit_key(code.zeros, n, reps)
+        cached = cache.get((code.q, code.n, code.gen_string())) if cache is not None else None
         if cached is not None and cached.exact:
-            res = DistanceResult(cached.lower, cached.upper, True, cached.method, 0)
+            res = replace(cached, work=0)
+            # the cache holds computed codes only, so equivalents reuse this
+            orbit_results.setdefault(orbit, res)
         else:
-            b = bch_bound(code.zeros, n)
+            b = code._bch
             if best is not None and code.dim + b >= best[0]:
                 results[i] = DistanceResult(b, n, False, "bch_only", 0)
                 continue
             # past the running minimum a certified bound is as good as exact
             target = best[0] - code.dim if best is not None else None
-            res = min_distance(code, budget, workers, lower_target=target)
+            prior = orbit_results.get(orbit)
+            if prior is not None and (prior.exact or (target is not None and prior.lower >= target)):
+                res = replace(prior, work=0)
+            else:
+                res = min_distance(code, budget, workers, lower_target=target)
+                orbit_results[orbit] = res
         results[i] = res
         if res.exact:
             s = code.dim + res.lower

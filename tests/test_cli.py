@@ -3,6 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from uplab.cli import main
+
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
@@ -162,3 +166,49 @@ def test_weak_up_command():
     rows = json.loads(r.stdout)
     hits = [row for row in rows if row["both"]]
     assert [row["p"] for row in hits] == [31]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["ramsey", "--n", "9"], ["--budget", "100"]),
+    (["ramsey", "--n", "9"], ["--seed", "1"]),
+    (["ramsey", "--n", "9"], ["--workers", "2"]),
+    (["strong-up", "--p", "7", "--q", "2"], ["--cache", "unused.jsonl"]),
+    (["factor", "--n", "7", "--q", "2"], ["--budget", "100"]),
+    (["ms", "--q", "2", "--word", "1101000"], ["--seed", "1"]),
+    (["mu", "--n", "7", "--q", "2"], ["--seed", "1"]),
+    (["weak-up", "--q", "2", "--eps", "0.2", "--lam", "0.6", "--pmax", "7"], ["--workers", "2"]),
+])
+def test_unused_flags_are_usage_errors(argv, flag, capsys):
+    # a flag the command would ignore is refused instead
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + flag) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_weak_up_cache_writes_back(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    args = ("weak-up", "--q", "2", "--eps", "0.2", "--lam", "0.6", "--pmax", "31")
+    r1 = run_cli(*args, "--cache", str(cache))
+    assert r1.returncode == 0
+    recs = [json.loads(ln) for ln in cache.read_text().splitlines()]
+    assert recs and all(rec["exact"] and rec["work"] > 0 for rec in recs)
+    assert {rec["n"] for rec in recs} >= {7, 17, 23, 31}
+    r2 = run_cli(*args, "--cache", str(cache))
+    assert r2.stdout == r1.stdout
+    assert len(cache.read_text().splitlines()) == len(recs)  # nothing new to store
+
+
+def test_q_beyond_digit_strings_refused(tmp_path):
+    for argv in (["mu", "--n", "7", "--q", "211"],
+                 ["table", "--q", "211", "--primes", "7"],
+                 ["asym", "--what", "construction", "--q", "37", "--p", "3"],
+                 ["weak-up", "--q", "37", "--eps", "0.2", "--lam", "0.6", "--pmax", "7",
+                  "--cache", str(tmp_path / "c.jsonl")]):
+        r = run_cli(*argv)
+        assert r.returncode == 2 and r.stdout == ""
+        assert "q <= 36" in r.stderr
+    assert not (tmp_path / "c.jsonl").exists()
+    # without digit strings anywhere, q > 36 runs
+    r = run_cli("weak-up", "--q", "37", "--eps", "0.2", "--lam", "0.6", "--pmax", "7")
+    assert r.returncode == 0 and [row["p"] for row in json.loads(r.stdout)] == [2, 3, 5, 7]

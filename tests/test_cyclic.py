@@ -3,11 +3,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uplab.gf import DomainError
 from uplab.polyring import xn_minus_1
-from uplab.cyclic import (CyclicCode, bch_bound, enumerate_codes, ht_bound,
-                          min_distance, mu, strong_up_witness)
+from uplab.cyclic import (CyclicCode, _bz_distance, _orbit_key, _multiplier_reps,
+                          bch_bound, enumerate_codes, ht_bound, min_distance, mu,
+                          strong_up_witness)
+
+# deterministic property tests that leave no example database behind
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +118,26 @@ def test_enumeration_order():
     assert len(codes) == 2 ** 6 - 1
 
 
+def test_enumeration_order_with_letter_digits():
+    # q = 29, 31 need digits past 9; coefficient order is string order
+    for n, q in [(7, 29), (5, 31)]:
+        codes = enumerate_codes(n, q)
+        keys = [(c.gen.degree, c.gen_string()) for c in codes]
+        assert keys == sorted(keys)
+        assert len(codes) == 2 ** n - 1
+
+
+def test_enumeration_and_mu_beyond_digit_strings():
+    # q = 211 has no digit serialization; enumeration and mu still work
+    codes = enumerate_codes(5, 211)
+    assert len(codes) == 2 ** 5 - 1
+    keys = [(c.gen.degree, c.gen.coeffs) for c in codes]
+    assert keys == sorted(keys)
+    rec = mu(5, 211)
+    assert rec.exact
+    assert rec.mu == min(c.dim + min_distance(c).d for c in codes) == 6
+
+
 def test_from_gen_roundtrip():
     for c in enumerate_codes(15, 2):
         again = CyclicCode.from_gen(15, 2, c.gen_string())
@@ -147,6 +172,20 @@ def test_bch_against_oracle():
     for n, q in [(7, 2), (15, 2), (13, 3)]:
         for c in enumerate_codes(n, q):
             assert bch_bound(c.zeros, n) == bch_oracle(c.zeros, n)
+
+
+@st.composite
+def _zero_sets(draw):
+    n = draw(st.integers(2, 40))
+    return n, draw(st.sets(st.integers(0, n - 1)))
+
+
+@PROPERTY
+@given(_zero_sets())
+def test_bch_property_arbitrary_subsets(case):
+    # subsets need not be unions of cyclotomic cosets
+    n, zeros = case
+    assert bch_bound(zeros, n) == bch_oracle(zeros, n)
 
 
 def test_ht_examples_and_oracle():
@@ -212,10 +251,11 @@ def test_generic_kernel_prime_power_base():
 
 def test_bz_bracket_and_convergence():
     qr = [c for c in enumerate_codes(17, 2) if c.dim == 9][0]
-    r = min_distance(qr, budget=50)  # starves the weight-2 round
+    # 9 weight-1 messages, then C(9, 2) = 36 at weight 2: 40 starves that round
+    r = min_distance(qr, budget=40)
     assert not r.exact and r.method == "bz"
     assert r.lower <= 5 <= r.upper
-    r = min_distance(qr, budget=100)  # window bounds close at weight 2
+    r = min_distance(qr, budget=100)  # ceil(17 * 3 / 9) = 6 closes it at weight 2
     assert r.exact and r.method == "bz" and r.d == 5
     c29 = [c for c in enumerate_codes(43, 2) if c.dim == 29][0]
     r = min_distance(c29)  # 2^29 exceeds the default budget; deepening closes it
@@ -223,6 +263,54 @@ def test_bz_bracket_and_convergence():
     # dual route: the exhaustive kernel at a raised budget must agree
     full = min_distance(c29, budget=1 << 30)
     assert full.method == "exhaustive" and full.d == r.d
+
+
+@pytest.mark.parametrize("n,q", [(n, 2) for n in range(1, 32, 2)]
+                         + [(n, 3) for n in range(1, 17) if n % 3])
+def test_bz_matches_exhaustive(n, q):
+    # the deepening tier run to completion against the exhaustive kernel
+    for code in enumerate_codes(n, q):
+        full = min_distance(code, budget=1 << 40)
+        assert full.method == "exhaustive"
+        r = _bz_distance(code, bch_bound(code.zeros, n), budget=1 << 40)
+        assert r.exact and r.method == "bz" and r.d == full.d, code
+
+
+@pytest.mark.parametrize("q,n", [(127, 7), (211, 7), (241, 8), (251, 5)])
+def test_reed_solomon_codes_are_mds(q, n):
+    # n | q - 1, so every zero set is a union of singletons; a zero set in
+    # arithmetic progression gives a (generalised) Reed-Solomon code
+    rs = [c for c in enumerate_codes(n, q) if bch_bound(c.zeros, n) == len(c.zeros) + 1]
+    assert len(rs) >= 2 * n
+    for code in rs:
+        r = min_distance(code)
+        assert r.exact and r.d == n - code.dim + 1, code
+
+
+_EQUIVALENCE_CASES = [(15, 2), (17, 2), (21, 2), (23, 2), (31, 2), (13, 3), (11, 3), (16, 3)]
+
+
+@PROPERTY
+@given(st.sampled_from(_EQUIVALENCE_CASES), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_distance_invariant_under_multipliers(case, pick, unit):
+    # x -> x^u permutes coordinates and maps the code with zeros Z to uZ
+    n, q = case
+    codes = enumerate_codes(n, q)
+    code = codes[pick % len(codes)]
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    u = units[unit % len(units)]
+    image = tuple(sorted(u * z % n for z in code.zeros))
+    twin = next(c for c in codes if c.zeros == image)
+    reps = _multiplier_reps(n, q)
+    assert _orbit_key(code.zeros, n, reps) == _orbit_key(twin.zeros, n, reps)
+    assert twin.dim == code.dim
+    assert min_distance(twin).d == min_distance(code).d
+
+
+def test_gray_kernel_weights_past_one_byte():
+    # five 64-bit words; the per-word counts must not wrap at 256
+    rep = CyclicCode.from_gen(257, 2, "1" * 257)
+    assert rep.dim == 1 and min_distance(rep).d == 257
 
 
 def test_budget_never_aborts():
@@ -313,6 +401,21 @@ def test_mu_cache_reuse():
     assert reused and all(r.work == 0 for r in reused)
 
 
+@pytest.mark.parametrize("n", [23, 71])
+def test_mu_reuses_equivalent_codes(n):
+    rec = mu(n, 2)
+    reps = _multiplier_reps(n, 2)
+    by_orbit = {}
+    for code, res in rec.per_divisor:
+        if res.method != "bch_only":
+            by_orbit.setdefault(_orbit_key(code.zeros, n, reps), []).append(res)
+    assert any(len(group) > 1 for group in by_orbit.values())
+    for group in by_orbit.values():
+        # one computation per orbit; its equivalents copy it with work 0
+        assert sum(r.work > 0 for r in group) == 1
+        assert len({(r.lower, r.upper, r.exact, r.method) for r in group}) == 1
+
+
 def test_mu_deterministic():
     a = mu(23, 2)
     b = mu(23, 2)
@@ -344,7 +447,7 @@ def test_strong_up_rejects_composite():
         strong_up_witness(9, 2)
 
 
-@pytest.mark.parametrize("p,expected", [(71, 47), (73, 37)])
+@pytest.mark.parametrize("p,expected", [(71, 47), (73, 37), (79, 55), (89, 45)])
 def test_mu_beyond_the_exhaustive_budget(p, expected):
     # 2^35+ dimensions force the deepening tier end to end
     rec = mu(p, 2)
