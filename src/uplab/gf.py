@@ -136,8 +136,11 @@ def is_primitive(q: int, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p, used only to bootstrap field contexts
-# (dense tuples, lowest degree first, no trailing zeros)
+# the element product of FieldCtx for odd p, and of the F_{p^e} scalar
+# tables: digit tuples over F_p, lowest degree first, no trailing zeros.
+# Polynomials over F_q as such live in polyring; this product stays here
+# because it is the inner loop of every non-tabled field operation, where
+# building FPoly objects costs more than the arithmetic.
 
 
 def _pp_trim(c):
@@ -166,80 +169,11 @@ def _pp_rem(a, m, p):
     return _pp_trim(arr[:dm])
 
 
-def _pp_gcd(a, b, p):
-    a, b = _pp_trim(a), _pp_trim(b)
-    while b:
-        if len(b) - 1 == 0:
-            return (1,)
-        # remainder of a by b (b made monic on the fly)
-        inv = pow(b[-1], p - 2, p)
-        bm = tuple(x * inv % p for x in b)
-        a, b = b, _pp_rem(a, bm, p)
-    inv = pow(a[-1], p - 2, p) if a else 0
-    return tuple(x * inv % p for x in a)
-
-
-def _pp_pow_x(e, m, p):
-    """x^e mod m by square and multiply."""
-    result = (1,)
-    base = _pp_rem((0, 1), m, p)
-    while e:
-        if e & 1:
-            result = _pp_rem(_pp_mul(result, base, p), m, p)
-        base = _pp_rem(_pp_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _pp_add_const(t, c, p):
-    if not c:
-        return t
-    if not t:
-        return (c % p,)
-    out = list(t)
-    out[0] = (out[0] + c) % p
-    return _pp_trim(out)
-
-
-def _pp_compose(t, xp, m, p):
-    """t(xp) mod m via Horner."""
-    acc = ()
-    for c in reversed(t):
-        acc = _pp_rem(_pp_mul(acc, xp, p), m, p)
-        acc = _pp_add_const(acc, c, p)
-    return acc
-
-
-def _pp_is_irreducible(f, p):
-    """No irreducible factor of degree <= d/2 (a smallest factor always is)."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    if f[0] == 0:
-        return False  # divisible by x
-    for c in range(min(p, 12)):  # root screen
-        acc = 0
-        for co in reversed(f):
-            acc = (acc * c + co) % p
-        if acc == 0:
-            return False
-    xp = _pp_pow_x(p, f, p)
-    t = xp  # x^(p^k), starting at k = 1
-    for k in range(1, d // 2 + 1):
-        diff = list(t) + [0] * max(0, 2 - len(t))
-        diff[1] = (diff[1] - 1) % p
-        g = _pp_gcd(_pp_trim(diff), f, p)
-        if g != (1,):
-            return False
-        if k < d // 2:
-            t = _pp_compose(t, xp, f, p)
-    return True
-
-
 def _find_irreducible(p, d):
     """First monic irreducible of degree d over F_p in integer-code order."""
+    from .polyring import FPoly, is_irreducible
+
+    field = PrimePower.make(p)
     for low in range(p**d):
         coeffs = []
         v = low
@@ -249,7 +183,7 @@ def _find_irreducible(p, d):
         if d > 1 and coeffs[0] == 0:
             continue
         f = tuple(coeffs) + (1,)
-        if _pp_is_irreducible(f, p):
+        if is_irreducible(FPoly(field, f)):
             return f
     raise InternalError(f"no irreducible of degree {d} over F_{p}")
 

@@ -5,6 +5,12 @@ A length-n word f over F_q maps to the evaluation vector
 (f(zeta), f(zeta^2), ..., f(zeta^n)) in the canonical splitting field;
 position n holds f(1), which always lies in the base field.  Values are
 indexed 1..n to keep that convention visible.
+
+The weight of the transform needs no splitting field.  Since gcd(n, q) = 1,
+x^n - 1 is squarefree, so f(zeta^i) = 0 exactly when x - zeta^i divides
+g = gcd(f, x^n - 1), and w(f-hat) = n - deg g: the dimension of the cyclic
+code that f generates.  transform_weight and the scans compute it that way,
+over F_q; ms_forward and ms_inverse build the vector itself.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .gf import DomainError, FFElem, FieldCtx, InternalError, PrimePower, nth_root_of_unity, splitting_ctx
+from .polyring import _ALPHABET, poly_gcd, word_to_poly, xn_minus_1
 _EXHAUSTIVE_CAP = 1 << 24
 
 
@@ -52,6 +59,13 @@ def _as_field(q) -> PrimePower:
     return q if isinstance(q, PrimePower) else PrimePower.from_int(q)
 
 
+def _check_length(n: int, field: PrimePower):
+    if n < 1:
+        raise DomainError(f"word length {n} < 1")
+    if math.gcd(n, field.q) != 1:
+        raise DomainError(f"gcd(n={n}, q={field.q}) != 1")
+
+
 def ms_forward(word, q, ctx: FieldCtx | None = None, zeta: FFElem | None = None) -> MSVector:
     """Evaluate the word's polynomial at zeta^1..zeta^n, Horner per point.
 
@@ -61,10 +75,7 @@ def ms_forward(word, q, ctx: FieldCtx | None = None, zeta: FFElem | None = None)
     field = _as_field(q)
     word = tuple(word)
     n = len(word)
-    if n == 0:
-        raise DomainError("empty word")
-    if math.gcd(n, field.q) != 1:
-        raise DomainError(f"gcd(n={n}, q={field.q}) != 1")
+    _check_length(n, field)
     if ctx is None:
         ctx = splitting_ctx(field, n)
     if zeta is None:
@@ -120,21 +131,34 @@ class UPCheck:
                 "product": self.product, "holds": self.holds}
 
 
-def naive_up_check(word, q, ctx: FieldCtx | None = None) -> UPCheck:
+def naive_up_check(word, q) -> UPCheck:
     """Both weights and whether their product reaches n (it always must)."""
-    field = _as_field(q)
     word = tuple(word)
     w = sum(1 for c in word if c)
     if w == 0:
         raise DomainError("the inequality is stated for nonzero words")
-    msv = ms_forward(word, field, ctx)
-    wh = msv.weight
+    wh = transform_weight(word, q)
     return UPCheck(w, wh, w * wh, len(word), w * wh >= len(word))
 
 
-def transform_weight(word, q, ctx: FieldCtx | None = None) -> int:
-    """Weight of the transform without materializing it (same evaluations)."""
-    return ms_forward(word, q, ctx).weight
+def transform_weight(word, q) -> int:
+    """Weight of the transform, n - deg gcd(f, x^n - 1), computed over F_q."""
+    field = _as_field(q)
+    word = tuple(word)
+    n = len(word)
+    _check_length(n, field)
+    if field.q == 2:
+        # F_2[x] as bitmasks: gcd by shifted XOR
+        bad = set(word) - {0, 1}
+        if bad:
+            raise DomainError(f"scalar code {bad.pop()} outside F_2")
+        a, b = (1 << n) | 1, sum(1 << i for i, c in enumerate(word) if c)
+        while b:
+            while a.bit_length() >= b.bit_length():
+                a ^= b << (a.bit_length() - b.bit_length())
+            a, b = b, a
+        return n - (a.bit_length() - 1)
+    return n - poly_gcd(word_to_poly(field, word), xn_minus_1(field, n)).degree
 
 
 @dataclass(frozen=True)
@@ -156,8 +180,6 @@ class UPScanReport:
 
 
 def _word_string(word) -> str:
-    from .polyring import _ALPHABET
-
     return "".join(_ALPHABET[c] for c in word)
 
 
@@ -168,25 +190,18 @@ def naive_up_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
     Exhaustive mode covers all q^n - 1 words (capped); random mode samples.
     """
     field = _as_field(q)
-    if math.gcd(n, field.q) != 1:
-        raise DomainError(f"gcd(n={n}, q={field.q}) != 1")
-    ctx = splitting_ctx(field, n)
+    _check_length(n, field)
     if mode == "exhaustive":
         if field.q**n > _EXHAUSTIVE_CAP:
             raise DomainError(f"q^n = {field.q**n} beyond exhaustive cap {_EXHAUSTIVE_CAP}")
         gen = _all_words(n, field.q)
-        total = field.q**n - 1
     elif mode == "random":
         import random
 
         rng = random.Random(seed)
         gen = (_int_word(rng.randrange(1, field.q**n), n, field.q) for _ in range(trials))
-        total = trials
     else:
         raise DomainError(f"unknown mode {mode!r}")
-
-    if field.q == 2:
-        weights = _binary_transform_weights(n, ctx)
 
     best = None
     best_word = None
@@ -196,12 +211,7 @@ def naive_up_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
     for word in gen:
         checked += 1
         w = sum(1 for c in word if c)
-        if field.q == 2:
-            mask = sum(1 << i for i, c in enumerate(word) if c)
-            wh = weights(mask)
-        else:
-            wh = transform_weight(word, field, ctx)
-        prod = w * wh
+        prod = w * transform_weight(word, field)
         if prod < n:
             violations += 1
         if prod == n:
@@ -224,36 +234,3 @@ def _int_word(v, n, q):
         out.append(v % q)
         v //= q
     return tuple(out)
-
-
-def _binary_transform_weights(n, ctx):
-    """Closure computing w(f-hat) from a support bitmask; addition in
-    characteristic 2 is XOR of element codes, so each evaluation folds a
-    precomputed power table over the support."""
-    zeta = nth_root_of_unity(ctx, n)
-    pows = []
-    for i in range(1, n + 1):
-        zi = ctx.pow(zeta, i)
-        row = []
-        acc = ctx.one()
-        for _ in range(n):
-            row.append(acc.code)
-            acc = ctx.mul(acc, zi)
-        pows.append(row)
-
-    def weight(mask):
-        wh = 0
-        support = []
-        m = mask
-        while m:
-            support.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        for row in pows:
-            acc = 0
-            for j in support:
-                acc ^= row[j]
-            if acc:
-                wh += 1
-        return wh
-
-    return weight

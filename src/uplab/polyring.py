@@ -28,7 +28,7 @@ class FPoly:
         while i and c[i - 1] == 0:
             i -= 1
         c = c[:i]
-        if any(not 0 <= x < self.field.q for x in c):
+        if c and (min(c) < 0 or max(c) >= self.field.q):
             raise DomainError("coefficient outside field")
         object.__setattr__(self, "coeffs", c)
 
@@ -106,6 +106,13 @@ class FPoly:
         if not a or not b:
             return FPoly.zero(f)
         out = [0] * (len(a) + len(b) - 1)
+        if f.e == 1:
+            # prime field: accumulate integer products, reduce once
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        out[i + j] += ai * bj
+            return FPoly(f, tuple(c % f.p for c in out))
         for i, ai in enumerate(a):
             if not ai:
                 continue
@@ -126,6 +133,16 @@ class FPoly:
         db = len(b) - 1
         inv = f.sinv(b[-1])
         quot = [0] * max(0, len(a) - db)
+        if f.e == 1:
+            p = f.p
+            for i in range(len(a) - 1, db - 1, -1):
+                c = a[i] % p
+                if c:
+                    c = c * inv % p
+                    quot[i - db] = c
+                    for j in range(db + 1):
+                        a[i - db + j] -= c * b[j]
+            return FPoly(f, tuple(quot)), FPoly(f, tuple(c % p for c in a[:db]))
         for i in range(len(a) - 1, db - 1, -1):
             c = a[i]
             if c:
@@ -267,7 +284,11 @@ def factor_xn_minus_1(n: int, q, ctx: FieldCtx | None = None):
 
 
 def is_irreducible(f: FPoly) -> bool:
-    """Standard x^(q^k) gcd test over F_q; constants are rejected as input."""
+    """Standard x^(q^k) gcd test over F_q; constants are rejected as input.
+
+    f of degree d is irreducible exactly when gcd(x^(q^k) - x, f) = 1 for
+    every k <= d/2, since a reducible f has a factor of degree at most d/2.
+    """
     d = f.degree
     if d < 1:
         raise DomainError("irreducibility is asked of non-constant polynomials")
@@ -277,35 +298,22 @@ def is_irreducible(f: FPoly) -> bool:
     if f.coeffs[0] == 0:
         return False
     f = f.monic()
-    # x^q mod f, then iterate Frobenius by composition
-    xq = _pow_x(field.q, f)
-    t = xq
-    for k in range(1, d // 2 + 1):
-        diff = t - FPoly.x(field)
-        if poly_gcd(diff, f).degree != 0:
+    x = FPoly.x(field)
+    t = x
+    for _ in range(d // 2):
+        t = _pow_mod(t, field.q, f)  # x^(q^k) mod f, one q-th power per step
+        if poly_gcd(t - x, f).degree != 0:
             return False
-        if k < d // 2:
-            t = _compose_mod(t, xq, f)
     return True
 
 
-def _pow_x(e: int, m: FPoly) -> FPoly:
-    field = m.field
-    result = FPoly.one(field)
-    base = FPoly.x(field) % m
+def _pow_mod(base: FPoly, e: int, m: FPoly) -> FPoly:
+    """base^e mod m by square and multiply."""
+    result = FPoly.one(m.field)
+    base = base % m
     while e:
         if e & 1:
             result = (result * base) % m
         base = (base * base) % m
         e >>= 1
     return result
-
-
-def _compose_mod(t: FPoly, g: FPoly, m: FPoly) -> FPoly:
-    field = m.field
-    acc = FPoly.zero(field)
-    for c in reversed(t.coeffs):
-        acc = (acc * g) % m
-        if c:
-            acc = acc + FPoly(field, (c,))
-    return acc

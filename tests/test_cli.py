@@ -42,6 +42,23 @@ def test_ms_all_one_word():
     assert (out["weight"], out["transform_weight"]) == (7, 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ("ms", "--q", "2", "--word", "1201000"),   # 2 is outside F_2, not a 1
+    ("ms", "--q", "3", "--word", "1301000"),
+    ("ms", "--q", "4", "--word", "1401"),
+    ("ms", "--q", "2", "--word", ""),
+    ("ms", "--q", "2", "--word", "1001"),      # gcd(4, 2) != 1
+    ("ms", "--q", "3", "--word", "120"),
+    ("up-scan", "--n", "9", "--q", "3"),
+    ("up-scan", "--n", "0", "--q", "2"),
+    ("up-scan", "--n", "-3", "--q", "2"),
+])
+def test_transform_refusals_exit_2(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: ")
+
+
 def test_usage_error_exit_2():
     assert run_cli("bogus").returncode == 2
     assert run_cli("mu", "--n", "7").returncode == 2

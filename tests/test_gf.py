@@ -1,10 +1,11 @@
 import random
 
 import pytest
+import sympy
 
-from uplab.gf import (DomainError, FieldCtx, PrimePower, factorize, field_ctx,
-                      is_prime, is_primitive, mult_order, nth_root_of_unity,
-                      ord_mod, splitting_ctx)
+from uplab.gf import (DomainError, FieldCtx, PrimePower, _find_irreducible, factorize,
+                      field_ctx, is_prime, is_primitive, mult_order,
+                      nth_root_of_unity, ord_mod, splitting_ctx)
 
 
 def test_is_prime_small():
@@ -70,6 +71,17 @@ def test_f8_modulus_is_first_irreducible_in_code_order():
     assert c8.modulus.to_string() == "1101"  # x^3 + x + 1
     assert c8.primitive_elt.code == 2
     assert mult_order(c8.primitive_elt) == 7
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 2), (13, 2)])
+def test_canonical_modulus_is_first_irreducible_by_sympy(p, max_deg):
+    x = sympy.Symbol("x")
+    for d in range(1, max_deg + 1):
+        for low in range(p**d):
+            f = tuple(low // p**i % p for i in range(d)) + (1,)
+            if sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible:
+                break
+        assert _find_irreducible(p, d) == f
 
 
 def test_mult_order_examples():

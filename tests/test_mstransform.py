@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from uplab.gf import DomainError, PrimePower, nth_root_of_unity, splitting_ctx
+from uplab.gf import (FIELD_ORDER_CAP, DomainError, PrimePower, nth_root_of_unity, ord_mod,
+                      splitting_ctx)
 from uplab.polyring import poly_gcd, word_to_poly, xn_minus_1
 from uplab.mstransform import (MSVector, ms_forward, ms_inverse, naive_up_check,
                                naive_up_scan, transform_weight)
@@ -75,18 +77,64 @@ def test_scan_exhaustive_small():
 
 
 def test_scan_agrees_with_per_word_checks():
-    # the batched binary path must match naive_up_check word by word
+    # the gcd weight must match naive_up_check and the evaluated transform
     rng = random.Random(17)
     for _ in range(30):
         w = tuple(rng.randrange(2) for _ in range(9))
         if not any(w):
             continue
         chk = naive_up_check(w, 2)
-        assert chk.transform_weight == transform_weight(w, 2)
+        assert chk.transform_weight == transform_weight(w, 2) == ms_forward(w, 2).weight
     rep = naive_up_scan(9, 2)
     # min over the scan equals min over an explicit sweep
     best = min(naive_up_check(_bits(v, 9), 2).product for v in range(1, 2**9))
     assert rep.min_product == best
+
+
+@pytest.mark.parametrize("n,q", [(7, 2), (9, 2), (7, 3), (5, 4)])
+def test_scan_report_matches_evaluated_sweep(n, q):
+    # the whole report, rebuilt from ms_forward over the scan's word order
+    best, argmin, equality = None, None, 0
+    for v in range(1, q**n):
+        w = tuple(v // q**i % q for i in range(n))
+        prod = sum(1 for c in w if c) * ms_forward(w, q).weight
+        equality += prod == n
+        if best is None or prod < best:
+            best, argmin = prod, "".join(map(str, w))
+    rep = naive_up_scan(n, q)
+    assert rep.json_dict() == {"n": n, "q": q, "mode": "exhaustive",
+                               "words_checked": q**n - 1, "min_product": best,
+                               "argmin_word": argmin, "equality_count": equality,
+                               "violations": 0}
+
+
+@st.composite
+def _words_in_cap(draw):
+    # lengths whose splitting field ms_forward can build
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = draw(st.integers(1, 31))
+    assume(math.gcd(n, q) == 1 and (n == 1 or q ** ord_mod(q, n) < FIELD_ORDER_CAP))
+    return q, tuple(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_words_in_cap())
+def test_transform_weight_matches_evaluation(case):
+    q, w = case
+    assert transform_weight(w, q) == ms_forward(w, q).weight
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_transform_weight_refusals(q):
+    with pytest.raises(DomainError):
+        transform_weight((), q)
+    with pytest.raises(DomainError):
+        transform_weight((1,) + (0,) * (2 * q - 1), q)  # gcd(2q, q) != 1
+    for bad in (q, q + 1, -1):  # at q = 2 the bitmask gcd must not read a 2 as a 1
+        with pytest.raises(DomainError):
+            transform_weight((1, bad) + (0,) * 5, q)
+        with pytest.raises(DomainError):
+            naive_up_check((1, bad) + (0,) * 5, q)
 
 
 def _bits(v, n):
@@ -137,7 +185,7 @@ def test_support_zeros_duality():
                 continue
             f = word_to_poly(field, w)
             g = poly_gcd(f, xn_minus_1(field, n))
-            assert n - transform_weight(w, q) == g.degree
+            assert n - transform_weight(w, q) == g.degree == n - ms_forward(w, q).weight
 
 
 def test_scan_caps():
@@ -145,6 +193,9 @@ def test_scan_caps():
         naive_up_scan(30, 2)  # 2^30 over the exhaustive cap
     with pytest.raises(DomainError):
         naive_up_scan(9, 3)  # gcd != 1
+    for n in (0, -3):
+        with pytest.raises(DomainError):
+            naive_up_scan(n, 2)
 
 
 def test_forward_rejects_degenerate_input():

@@ -1,8 +1,12 @@
+import itertools
+import math
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from uplab.gf import DomainError, PrimePower, ord_mod
+from uplab.gf import FIELD_ORDER_CAP, DomainError, PrimePower, ord_mod
 from uplab.polyring import (FPoly, cyclotomic_cosets, factor_xn_minus_1,
                             is_irreducible, poly_gcd, poly_to_word,
                             word_to_poly, xn_minus_1)
@@ -121,3 +125,60 @@ def test_irreducible_factors_over_f4():
             assert is_irreducible(f)
     assert prod == xn_minus_1(f4, 5)
     assert sorted(f.degree for f in fs) == [1, 2, 2]  # ord_5(4) = 2
+
+
+X = sympy.Symbol("x")
+
+
+def _sympy_poly(coeffs, p):
+    return sympy.Poly(list(reversed(coeffs)), X, modulus=p)
+
+
+def _from_sympy(f, p):
+    # sympy keeps symmetric residues, highest degree first, and [0] for zero
+    return FPoly(PrimePower.make(p), tuple(c % p for c in reversed(f.all_coeffs()))).coeffs
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 8), (3, 6), (5, 4), (7, 3)])
+def test_is_irreducible_matches_sympy(p, max_deg):
+    field = PrimePower.make(p)
+    for d in range(1, max_deg + 1):
+        for low in itertools.product(range(p), repeat=d):
+            f = low + (1,)
+            assert is_irreducible(FPoly(field, f)) == _sympy_poly(f, p).is_irreducible, f
+
+
+_SPLITTABLE = [(n, p) for p in (2, 3, 5, 7) for n in range(1, 40)
+               if math.gcd(n, p) == 1 and (n == 1 or p ** ord_mod(p, n) < FIELD_ORDER_CAP)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_factor_xn_minus_1_matches_sympy(p):
+    field = PrimePower.make(p)
+    for n, _ in (case for case in _SPLITTABLE if case[1] == p):
+        ours = sorted(f.coeffs for f in factor_xn_minus_1(n, field))
+        _, theirs = sympy.Poly(X**n - 1, X, modulus=p).factor_list()
+        assert all(mult == 1 for _, mult in theirs)
+        assert ours == sorted(_from_sympy(f, p) for f, _ in theirs)
+
+
+_PRIME_POLYS = st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(
+    lambda p: st.tuples(st.just(p),
+                        st.lists(st.integers(0, p - 1), max_size=12),
+                        st.lists(st.integers(0, p - 1), max_size=8)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_PRIME_POLYS)
+def test_prime_field_mul_divmod_match_sympy(case):
+    p, a, b = case
+    field = PrimePower.make(p)
+    fa, fb = FPoly(field, tuple(a)), FPoly(field, tuple(b))
+    sa, sb = _sympy_poly(fa.coeffs, p), _sympy_poly(fb.coeffs, p)
+    assert (fa * fb).coeffs == _from_sympy(sa * sb, p)
+    if fb.is_zero():
+        return
+    qt, rm = divmod(fa, fb)
+    sq, sr = sympy.div(sa, sb)
+    assert (qt.coeffs, rm.coeffs) == (_from_sympy(sq, p), _from_sympy(sr, p))
+
