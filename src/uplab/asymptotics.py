@@ -163,8 +163,8 @@ def f_alpha_sweep(primes, alpha: float, q: int, R: float) -> list:
 
 
 def eventual_trend(values) -> str:
-    """'decrease' or 'increase' if some suffix of length >= 2 is strictly
-    monotone through the end, else 'none'."""
+    """'decrease' or 'increase' by the sign of the last step, from the last
+    two values alone; 'none' when they are equal or fewer than two are given."""
     vs = list(values)
     if len(vs) < 2:
         return "none"

@@ -6,10 +6,13 @@ output, a line-delimited JSON result cache, and a fixed exit-code contract:
     3  budget exhausted somewhere, output partial or bracketed
     4  internal invariant violated (a computed value contradicts a pinned one)
 
-Every command is deterministic for fixed flags with workers=1; the cache
-(enabled via --cache or UPLAB_CACHE_DIR) only skips work, never changes
-results, though reused entries report work=0.  A command registers only the
-shared flags it uses, so an unused one is a usage error, not ignored.
+Every command is deterministic for fixed flags with workers=1.  The cache
+(enabled via --cache or UPLAB_CACHE_DIR) receives each exact distance as it
+is computed, and min_distance reads it only for a code mu neither pruned nor
+reused, so the per-divisor records are the same with and without it, except
+that a hit reports work=0 and is exact where the cacheless run stopped at a
+bracket that could no longer lower mu.  A command registers only the shared flags it
+uses, so an unused one is a usage error, not ignored.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .cyclic import (DEFAULT_BUDGET, CyclicCode, DistanceResult, min_distance,
@@ -56,40 +60,30 @@ class Cache:
                         continue
                     try:
                         rec = json.loads(line)
-                        key = (rec["q"], rec["n"], rec["gen"])
-                        self.entries[key] = rec
-                    except (ValueError, KeyError):
+                        self.entries[(rec["q"], rec["n"], rec["gen"])] = DistanceResult(
+                            rec["d_lower"], rec["d_upper"], rec["exact"], rec["method"], 0)
+                    except (ValueError, KeyError, TypeError):
                         print(f"cache: skipping corrupt line in {path}", file=sys.stderr)
 
-    def get(self, key):
-        rec = self.entries.get(key)
-        if rec is None:
-            return None
-        return DistanceResult(rec["d_lower"], rec["d_upper"], rec["exact"],
-                              rec["method"], rec["work"])
+    def get(self, code: CyclicCode):
+        """The cached exact distance of the code, with work 0, or None."""
+        res = self.entries.get((code.q, code.n, code.gen_string()))
+        return res if res is not None and res.exact else None
 
     def put(self, code: CyclicCode, res: DistanceResult):
-        key = (code.q, code.n, code.gen_string())
-        if key in self.entries and self.entries[key]["exact"]:
+        """Record a result; min_distance calls this only after get missed."""
+        self.entries[(code.q, code.n, code.gen_string())] = replace(res, work=0)
+        if not (self.path and self.writable):
             return
         rec = res.json_dict(code)
         rec["version"] = __version__
         rec["ts"] = int(time.time())
-        self.entries[key] = rec
-        if not (self.path and self.writable):
-            return
         try:
             with open(self.path, "a") as fh:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
         except OSError as e:
             print(f"cache: cannot write {self.path} ({e}); continuing without", file=sys.stderr)
             self.writable = False
-
-    def store(self, rec):
-        """Write back the exact distances a mu run computed (work > 0)."""
-        for code, res in rec.per_divisor:
-            if res.exact and res.work > 0:
-                self.put(code, res)
 
 
 def _emit(obj, fmt):
@@ -151,25 +145,14 @@ def cmd_factor(args):
 
 
 def cmd_mu(args):
-    cache = _cache_from(args)
-    rec = mu(args.n, args.q, args.budget, args.workers, cache)
-    if cache is not None:
-        cache.store(rec)
+    rec = mu(args.n, args.q, args.budget, args.workers, _cache_from(args))
     _emit(rec.json_dict(include_divisors=args.divisors), args.format)
     return EXIT_OK if rec.exact else EXIT_PARTIAL
 
 
 def cmd_mindist(args):
-    cache = _cache_from(args)
     code = CyclicCode.from_gen(args.n, args.q, args.gen)
-    key = (code.q, code.n, code.gen_string())
-    cached = cache.get(key) if cache is not None else None
-    if cached is not None and cached.exact:
-        res = DistanceResult(cached.lower, cached.upper, True, cached.method, 0)
-    else:
-        res = min_distance(code, args.budget, args.workers)
-        if cache is not None and res.exact:
-            cache.put(code, res)
+    res = min_distance(code, args.budget, args.workers, cache=_cache_from(args))
     _emit(res.json_dict(code), args.format)
     return EXIT_OK if res.exact else EXIT_PARTIAL
 
@@ -207,11 +190,7 @@ def cmd_ramsey(args):
 
 
 def cmd_weak_up(args):
-    cache = _cache_from(args)
-    rows = weak_up_scan(args.q, args.eps, args.lam, args.pmax, args.budget, cache)
-    if cache is not None:
-        for r in rows:
-            cache.store(r.record)
+    rows = weak_up_scan(args.q, args.eps, args.lam, args.pmax, args.budget, _cache_from(args))
     _emit([r.json_dict() for r in rows], args.format)
     if any(not r.mu_exact for r in rows):
         return EXIT_PARTIAL
@@ -262,8 +241,6 @@ def cmd_table(args):
     for p in primes:
         expected = MU_TABLE_F2.get(p) if args.q == 2 else None
         rec = mu(p, args.q, args.budget, args.workers, cache)
-        if cache is not None:
-            cache.store(rec)
         if rec.exact:
             if expected is None:
                 status = "computed"

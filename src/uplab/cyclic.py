@@ -205,68 +205,32 @@ def bch_bound(zeros, n: int) -> int:
     return min(longest, n - 1) + 1
 
 
-def _runs_plus1(member, n):
-    """Length of the consecutive-member run starting at each residue (step +1)."""
-    runs = [0] * n
-    try:
-        gap = member.index(False)
-    except ValueError:
-        return [n] * n
-    for off in range(1, n + 1):
-        a = (gap - off) % n
-        runs[a] = 1 + runs[(a + 1) % n] if member[a] else 0
-    return runs
-
-
 def ht_bound(zeros, n: int) -> int:
-    """Hartmann-Tzeng style bound: the best delta+s over zero patterns
+    """Hartmann-Tzeng bound: the best delta+s over zero patterns
     {a + k*b + r*c : k < delta-1, r <= s} with b, c coprime to n.
 
-    Equivalent search: over direction pairs, the largest (width + height) of
-    a fully-contained grid; width along b, height along c.  At least the BCH
-    value (s = 0).
+    For a direction c and a height h let I_h be the set of x with x + r*c a
+    zero for every r < h.  A stride-b run of m elements of I_h is an m x h
+    grid of zeros, worth m + h, and bch_bound(I_h) is the longest such run
+    plus one; so the bound is the largest bch_bound(I_h) - 1 + h over c and
+    h = 1, 2, ... until I_h is empty.  h = 1 is the BCH value, the same for
+    every c.  Only c <= n/2 is scanned: I_h for -c is a translate of I_h for c.
     """
     zs = set(zeros)
     if not zs:
         return 1
     if len(zs) >= n:
         return n + 1
-    units = [b for b in range(1, n) if math.gcd(b, n) == 1]
-    best = 2  # a single zero is the (delta=2, s=0) pattern
-    for b in units:
-        binv = pow(b, -1, n)
-        member = [False] * n
-        for z in zs:
-            member[z * binv % n] = True
-        runs = _runs_plus1(member, n)
-        for u in units:
-            # sequence of run lengths along the u-cycle; zeros split segments
-            seq = [runs[(j * u) % n] for j in range(n)]
-            if 0 in seq:
-                start = seq.index(0)
-                seq = seq[start:] + seq[:start]
-            else:
-                seq = seq + seq  # full cycle; allow windows up to n
-            best = max(best, _best_window(seq, n))
+    best = bch_bound(zs, n)
+    for c in range(1, n // 2 + 1):
+        if math.gcd(c, n) != 1:
+            continue
+        rows, h = {x for x in zs if (x + c) % n in zs}, 2
+        while rows:
+            best = max(best, bch_bound(rows, n) - 1 + h)
+            rows = {x for x in rows if (x + h * c) % n in zs}
+            h += 1
     return min(best, n)
-
-
-def _best_window(seq, n):
-    """Max over contiguous positive windows of (min(window) + len(window)), len capped."""
-    best = 0
-    stack = []  # (value, extent_start)
-    for i, v in enumerate(seq + [0]):
-        start = i
-        while stack and stack[-1][0] >= v:
-            val, s = stack.pop()
-            length = min(i - s, n)
-            cand = min(val, n) + length
-            if cand > best:
-                best = cand
-            start = s
-        if v:
-            stack.append((v, start))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +537,22 @@ def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
 
 
 def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, workers: int = 1,
-                 lower_target: int | None = None) -> DistanceResult:
+                 lower_target: int | None = None, cache=None) -> DistanceResult:
     """Exact minimum distance when q^dim fits the budget, else the deepening
     tier, which returns exact if its bracket closes and a bracket otherwise.
-    lower_target lets a caller accept any certified bound reaching it."""
+    lower_target lets a caller accept any certified bound reaching it.
+
+    A cache (cache.get(code) -> exact result with work 0, or None;
+    cache.put(code, result)) answers before any work and receives every exact
+    result computed here."""
     k, n, q = code.dim, code.n, code.q
     lower = code._bch
     if k == 0:
         raise DomainError("zero code has no distance")
+    if cache is not None:
+        hit = cache.get(code)
+        if hit is not None:
+            return hit
     if q**k <= budget:
         if q == 2:
             rows = _systematic_rows_q2(code)
@@ -592,11 +564,15 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, workers: int = 
             best, work = _min_weight_generic(code, lower)
         if best < lower:
             raise InternalError(f"designed-distance bound {lower} exceeds true distance {best}")
-        return DistanceResult(best, best, True, "exhaustive", work)
-    if code.field.e > 1:
+        res = DistanceResult(best, best, True, "exhaustive", work)
+    elif code.field.e > 1:
         # the deepening tier reduces mod p, which is wrong off prime fields
         return DistanceResult(lower, n, False, "bch_only", 0)
-    return _bz_distance(code, lower, budget, lower_target)
+    else:
+        res = _bz_distance(code, lower, budget, lower_target)
+    if cache is not None and res.exact:
+        cache.put(code, res)
+    return res
 
 
 def _multiplier_reps(n: int, q: int) -> list:
@@ -626,9 +602,10 @@ def mu(n: int, q, budget: int = DEFAULT_BUDGET, workers: int = 1, cache=None) ->
     bch bracket and skipped, which cannot change the minimum.  A code
     equivalent to one already computed (same multiplier orbit) reuses that
     result, with work 0, when it is exact or its lower bound reaches the
-    current target.  The result equals the unpruned computation; it degrades
-    to a bracket only if some needed distance came back inexact under the
-    budget.
+    current target.  Only a code that is neither pruned nor reused reaches
+    min_distance, and with it the cache.  The result equals the unpruned
+    computation; it degrades to a bracket only if some needed distance came
+    back inexact under the budget.
     """
     field = q if isinstance(q, PrimePower) else PrimePower.from_int(q)
     codes = enumerate_codes(n, field)
@@ -640,25 +617,19 @@ def mu(n: int, q, budget: int = DEFAULT_BUDGET, workers: int = 1, cache=None) ->
     inexact = []
     for pos, i in enumerate(order):
         code = codes[i]
+        b = code._bch
+        if best is not None and code.dim + b >= best[0]:
+            results[i] = DistanceResult(b, n, False, "bch_only", 0)
+            continue
+        # past the running minimum a certified bound is as good as exact
+        target = best[0] - code.dim if best is not None else None
         orbit = _orbit_key(code.zeros, n, reps)
-        cached = cache.get((code.q, code.n, code.gen_string())) if cache is not None else None
-        if cached is not None and cached.exact:
-            res = replace(cached, work=0)
-            # the cache holds computed codes only, so equivalents reuse this
-            orbit_results.setdefault(orbit, res)
+        prior = orbit_results.get(orbit)
+        if prior is not None and (prior.exact or (target is not None and prior.lower >= target)):
+            res = replace(prior, work=0)
         else:
-            b = code._bch
-            if best is not None and code.dim + b >= best[0]:
-                results[i] = DistanceResult(b, n, False, "bch_only", 0)
-                continue
-            # past the running minimum a certified bound is as good as exact
-            target = best[0] - code.dim if best is not None else None
-            prior = orbit_results.get(orbit)
-            if prior is not None and (prior.exact or (target is not None and prior.lower >= target)):
-                res = replace(prior, work=0)
-            else:
-                res = min_distance(code, budget, workers, lower_target=target)
-                orbit_results[orbit] = res
+            res = min_distance(code, budget, workers, lower_target=target, cache=cache)
+            orbit_results[orbit] = res
         results[i] = res
         if res.exact:
             s = code.dim + res.lower

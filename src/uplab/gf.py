@@ -253,21 +253,6 @@ class PrimePower:
             return pow(a, self.p - 2, self.p)
         return _scalar_tables(self.p, self.e)[2][a]
 
-    def spow(self, a, k):
-        r = 1
-        while k:
-            if k & 1:
-                r = self.smul(r, a)
-            a = self.smul(a, a)
-            k >>= 1
-        return r
-
-    def modulus_digits(self):
-        """Canonical degree-e modulus over F_p (None for prime fields)."""
-        if self.e == 1:
-            return None
-        return _find_irreducible(self.p, self.e)
-
 
 @lru_cache(maxsize=None)
 def _scalar_tables(p, e):

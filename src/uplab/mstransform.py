@@ -198,6 +198,8 @@ def naive_up_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
     elif mode == "random":
         import random
 
+        if trials < 1:
+            raise DomainError(f"random mode needs trials >= 1, got {trials}")
         rng = random.Random(seed)
         gen = (_int_word(rng.randrange(1, field.q**n), n, field.q) for _ in range(trials))
     else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf import DomainError, FFElem, FieldCtx, InternalError, PrimePower, splitting_ctx
+from .gf import DomainError, FieldCtx, InternalError, PrimePower, splitting_ctx
 
 _ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -165,22 +165,6 @@ class FPoly:
         if lead == 1:
             return self
         return self * self.field.sinv(lead)
-
-    def __call__(self, c: int) -> int:
-        """Evaluate at a base-field scalar code."""
-        f = self.field
-        acc = 0
-        for co in reversed(self.coeffs):
-            acc = f.sadd(f.smul(acc, c), co)
-        return acc
-
-    def eval_in(self, x: FFElem) -> FFElem:
-        """Evaluate at a point of an extension of F_q (Horner)."""
-        ctx = x.ctx
-        acc = ctx.zero()
-        for co in reversed(self.coeffs):
-            acc = ctx.add(ctx.mul(acc, x), ctx.embed_scalar(co))
-        return acc
 
     def __repr__(self):
         return f"FPoly(q={self.field.q}, {self.to_string()!r})"

@@ -201,11 +201,15 @@ def test_criterion_08_transform_properties():
 
 
 def test_criterion_09_asymptotic_behavior():
-    primes = [11, 17, 23, 31, 41, 53, 61]
+    primes = [11, 17, 23, 31, 41, 53, 61, 67, 71, 73, 79]
     low = [r.value for r in f_alpha_sweep(primes, 0.4, 2, 0.5)]
     high = [r.value for r in f_alpha_sweep(primes, 0.6, 2, 0.5)]
     rep = construction_demo(2, 3, 0.5)
+    # eventual_trend reads only the last step; the tails are checked whole
+    tail_low, tail_high = low[-5:], high[-5:]
     ok = (eventual_trend(low) == "decrease" and eventual_trend(high) == "increase"
+          and all(a > b for a, b in zip(tail_low, tail_low[1:])) and tail_low[0] < 0
+          and all(a < b for a, b in zip(tail_high, tail_high[1:])) and tail_high[0] > 0
           and rep.n == 7 and rep.s == 2 and rep.n == 2 - 1 + rep.s * 3
           and rep.dim == 4 and rep.distance.exact and rep.distance.lower == 3)
     _report(9, "rate-balance sign dichotomy and the [7,4,3] construction", ok,

@@ -52,6 +52,8 @@ def test_ms_all_one_word():
     ("up-scan", "--n", "9", "--q", "3"),
     ("up-scan", "--n", "0", "--q", "2"),
     ("up-scan", "--n", "-3", "--q", "2"),
+    ("up-scan", "--n", "7", "--q", "2", "--mode", "random", "--trials", "0"),
+    ("up-scan", "--n", "7", "--q", "2", "--mode", "random", "--trials", "-3"),
 ])
 def test_transform_refusals_exit_2(argv):
     r = run_cli(*argv)
@@ -115,14 +117,29 @@ def test_cache_roundtrip(tmp_path):
     assert out2["mu"] == json.loads(r1.stdout)["mu"]
 
 
+def test_cache_keeps_mu_records_after_mindist(tmp_path):
+    # both codes are pruned by their BCH bound in mu(17); entries that mindist
+    # cached must not turn those brackets into exact records
+    cache = str(tmp_path / "cache.jsonl")
+    plain = run_cli("mu", "--n", "17", "--q", "2", "--divisors")
+    for gen in ("1101001011", "11"):
+        assert run_cli("mindist", "--n", "17", "--q", "2", "--gen", gen,
+                       "--cache", cache).returncode == 0
+    cached = run_cli("mu", "--n", "17", "--q", "2", "--divisors", "--cache", cache)
+    assert (cached.returncode, cached.stdout) == (plain.returncode, plain.stdout)
+
+
 def test_cache_corrupt_line_skipped(tmp_path):
     cache = tmp_path / "cache.jsonl"
-    cache.write_text("this is not json\n")
-    r = run_cli("mindist", "--n", "7", "--q", "2", "--gen", "1101",
-                "--cache", str(cache))
-    assert r.returncode == 0
-    assert "corrupt" in r.stderr
-    assert json.loads(r.stdout)["d_lower"] == 3
+    for text in ("this is not json\n",
+                 '{"q": 2, "n": 7, "gen": "1101"}\n',  # JSON, but no distance fields
+                 "[2, 7]\n"):
+        cache.write_text(text)
+        r = run_cli("mindist", "--n", "7", "--q", "2", "--gen", "1101",
+                    "--cache", str(cache))
+        assert r.returncode == 0
+        assert "corrupt" in r.stderr
+        assert json.loads(r.stdout)["d_lower"] == 3
 
 
 def test_cache_env_var(tmp_path):

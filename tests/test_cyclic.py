@@ -3,8 +3,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from uplab.cli import Cache
 from uplab.gf import DomainError
 from uplab.polyring import xn_minus_1
 from uplab.cyclic import (CyclicCode, _bz_distance, _orbit_key, _multiplier_reps,
@@ -53,13 +54,9 @@ def ht_oracle(zeros, n):
                         break
                     s = 0
                     while s + delta <= n:
+                        # rows 0..s are zeros already; test row s + 1
                         layer = {(p + (s + 1) * c) % n for p in pts}
-                        grid_ok = all(
-                            (a + k * b + r * c) % n in zs
-                            for k in range(delta - 1)
-                            for r in range(s + 2)
-                        )
-                        if not grid_ok:
+                        if not layer <= zs:
                             break
                         s += 1
                     best = max(best, delta + s)
@@ -175,8 +172,8 @@ def test_bch_against_oracle():
 
 
 @st.composite
-def _zero_sets(draw):
-    n = draw(st.integers(2, 40))
+def _zero_sets(draw, max_n=40):
+    n = draw(st.integers(2, max_n))
     return n, draw(st.sets(st.integers(0, n - 1)))
 
 
@@ -198,6 +195,17 @@ def test_ht_examples_and_oracle():
         for _ in range(6):
             zeros = {i for i in range(n) if rng.random() < 0.5}
             assert ht_bound(zeros, n) == ht_oracle(zeros, n), (n, sorted(zeros))
+
+
+@PROPERTY
+@given(_zero_sets(max_n=30))
+@example((16, {1, 3, 7, 8, 12, 14}))  # the best grid needs a direction c in (n/4, n/2]
+@example((25, {7, 8, 16, 19, 21}))
+def test_ht_property_arbitrary_subsets(case):
+    # n up to 30 includes even and composite lengths, where ht_bound's
+    # directions c <= n/2 are checked against the oracle's every unit c
+    n, zeros = case
+    assert ht_bound(zeros, n) == ht_oracle(zeros, n)
 
 
 def test_ht_at_least_bch():
@@ -380,24 +388,14 @@ def test_mu_bracket_under_tiny_budget():
 
 
 def test_mu_cache_reuse():
-    class Hits(dict):
-        def __init__(self):
-            super().__init__()
-            self.asked = 0
-
-        def get(self, key):
-            self.asked += 1
-            return super().get(key)
-
-    cache = Hits()
+    cache = Cache(None)  # in memory only
     first = mu(17, 2)
     for code, res in first.per_divisor:
         if res.exact and res.work > 0:
-            cache[(code.q, code.n, code.gen_string())] = res
+            cache.put(code, res)
     again = mu(17, 2, cache=cache)
     assert again.mu == first.mu
-    reused = [r for c, r in again.per_divisor
-              if (c.q, c.n, c.gen_string()) in cache]
+    reused = [r for c, r in again.per_divisor if cache.get(c) is not None]
     assert reused and all(r.work == 0 for r in reused)
 
 
