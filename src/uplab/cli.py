@@ -6,13 +6,15 @@ output, a line-delimited JSON result cache, and a fixed exit-code contract:
     3  budget exhausted somewhere, output partial or bracketed
     4  internal invariant violated (a computed value contradicts a pinned one)
 
-Every command is deterministic for fixed flags with workers=1.  The cache
+Every command is deterministic for fixed flags.  The cache
 (enabled via --cache or UPLAB_CACHE_DIR) receives each exact distance as it
 is computed, and min_distance reads it only for a code mu neither pruned nor
 reused, so the per-divisor records are the same with and without it, except
 that a hit reports work=0 and is exact where the cacheless run stopped at a
 bracket that could no longer lower mu.  A command registers only the shared flags it
-uses, so an unused one is a usage error, not ignored.
+uses, and a command with modes (asym --what, ramsey --kind, up-scan --mode)
+refuses a flag the chosen mode does not read, so an unused flag is a usage
+error, not ignored.
 """
 
 from __future__ import annotations
@@ -145,14 +147,14 @@ def cmd_factor(args):
 
 
 def cmd_mu(args):
-    rec = mu(args.n, args.q, args.budget, args.workers, _cache_from(args))
+    rec = mu(args.n, args.q, args.budget, cache=_cache_from(args))
     _emit(rec.json_dict(include_divisors=args.divisors), args.format)
     return EXIT_OK if rec.exact else EXIT_PARTIAL
 
 
 def cmd_mindist(args):
     code = CyclicCode.from_gen(args.n, args.q, args.gen)
-    res = min_distance(code, args.budget, args.workers, cache=_cache_from(args))
+    res = min_distance(code, args.budget, cache=_cache_from(args))
     _emit(res.json_dict(code), args.format)
     return EXIT_OK if res.exact else EXIT_PARTIAL
 
@@ -175,12 +177,14 @@ def cmd_ms(args):
 
 
 def cmd_up_scan(args):
+    _refuse_unread(args, f"--mode {args.mode}", _UP_SCAN_READS[args.mode], _UP_SCAN_FLAGS)
     rep = naive_up_scan(args.n, args.q, args.mode, args.trials, args.seed)
     _emit(rep.json_dict(), args.format)
     return EXIT_OK if rep.violations == 0 else EXIT_INVARIANT
 
 
 def cmd_ramsey(args):
+    _refuse_unread(args, f"--kind {args.kind}", _RAMSEY_READS[args.kind], _RAMSEY_FLAGS)
     if args.kind == "ap":
         res = szemeredi_r(args.m, args.n)
     else:
@@ -199,6 +203,10 @@ def cmd_weak_up(args):
 
 def cmd_asym(args):
     what = args.what
+    mode = f"--what {what}"
+    if what == "ram-bound" and args.composite_ok:
+        mode += " --composite-ok"
+    _refuse_unread(args, mode, _ASYM_READS[mode], _ASYM_FLAGS)
     if what == "entropy":
         out = {"x": args.x, "entropy": entropy(args.x)}
     elif what == "plotkin":
@@ -235,12 +243,12 @@ def cmd_asym(args):
 
 def cmd_table(args):
     cache = _cache_from(args)
-    primes = [int(x) for x in args.primes.split(",")] if args.primes else [7, 17, 23, 31, 41, 43, 47]
+    primes = args.primes or [7, 17, 23, 31, 41, 43, 47]
     rows = []
     worst = EXIT_OK
     for p in primes:
         expected = MU_TABLE_F2.get(p) if args.q == 2 else None
-        rec = mu(p, args.q, args.budget, args.workers, cache)
+        rec = mu(p, args.q, args.budget, cache=cache)
         if rec.exact:
             if expected is None:
                 status = "computed"
@@ -267,7 +275,7 @@ def cmd_table(args):
 
 
 def cmd_strong_up(args):
-    rep = strong_up_witness(args.p, args.q, args.budget, args.workers)
+    rep = strong_up_witness(args.p, args.q, args.budget)
     _emit(rep.json_dict(), args.format)
     return EXIT_OK
 
@@ -276,13 +284,53 @@ def cmd_strong_up(args):
 _COMMON = {
     "budget": dict(type=int, default=DEFAULT_BUDGET,
                    help="max codeword evaluations per distance computation"),
-    "workers": dict(type=int, default=1),
     "seed": dict(type=int, default=0),
     "cache": dict(default=None, help="cache file or directory (UPLAB_CACHE_DIR is the fallback)"),
 }
 
 # commands whose input or output holds generator or word digit strings
 _DIGIT_COMMANDS = {"factor", "mu", "mindist", "ms", "up-scan", "table", "strong-up"}
+
+
+# the optional flags of a command with modes, with their defaults, and the
+# flags each mode reads; the parser registers them with default None, so a
+# flag the mode does not read is told apart from one left at its default
+_ASYM_FLAGS = dict(x=0.5, q=2, n=7, p=3, alpha=0.5, R=0.5, composite_ok=False,
+                   budget=DEFAULT_BUDGET, seed=0)
+_ASYM_READS = {
+    "--what entropy": "x",
+    "--what plotkin": "q",
+    "--what ball": "n alpha q",
+    "--what lambda-n": "n p alpha R",
+    "--what f-alpha": "p alpha q R",
+    "--what construction": "q p R seed budget alpha",
+    "--what ram-bound --composite-ok": "p composite_ok",
+    "--what ram-bound": "p q budget",
+    "--what ram-grid-bound": "p q budget",
+}
+_RAMSEY_FLAGS = dict(m=3, delta=3, s=0)
+_RAMSEY_READS = {"ap": "m", "grid": "delta s"}
+_UP_SCAN_FLAGS = dict(trials=10000, seed=0)
+_UP_SCAN_READS = {"exhaustive": "", "random": "trials seed"}
+
+
+def _refuse_unread(args, mode: str, reads: str, flags: dict):
+    """Refuse any of the flags that was passed but is not in reads, then set
+    the others to their defaults."""
+    unread = [f for f in flags if getattr(args, f) is not None and f not in reads.split()]
+    if unread:
+        names = ", ".join("--" + f.replace("_", "-") for f in unread)
+        raise DomainError(f"{args.command} {mode} does not read {names}")
+    for f, default in flags.items():
+        if getattr(args, f) is None:
+            setattr(args, f, default)
+
+
+def _int_list(text):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
 
 
 def _add_common(sp, *flags):
@@ -320,14 +368,14 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--divisors", action="store_true", help="include per-divisor records")
-    _add_common(p, "budget", "workers", "cache")
+    _add_common(p, "budget", "cache")
     p.set_defaults(fn=cmd_mu)
 
     p = sub.add_parser("mindist", help="minimum distance of the code generated by --gen")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--gen", required=True, help="generator, digits lowest degree first")
-    _add_common(p, "budget", "workers", "cache")
+    _add_common(p, "budget", "cache")
     p.set_defaults(fn=cmd_mindist)
 
     p = sub.add_parser("ms", help="transform a word and check the weight-product inequality")
@@ -341,18 +389,18 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=int)
     _add_common(p, "seed")
-    p.set_defaults(fn=cmd_up_scan)
+    p.set_defaults(fn=cmd_up_scan, **dict.fromkeys(_UP_SCAN_FLAGS))
 
     p = sub.add_parser("ramsey", help="largest pattern-free subset of Z/nZ")
     p.add_argument("--kind", choices=["ap", "grid"], default="ap")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=3, help="progression length (kind=ap)")
-    p.add_argument("--delta", type=int, default=3, help="grid width parameter (kind=grid)")
-    p.add_argument("--s", type=int, default=0, help="grid height parameter (kind=grid)")
+    p.add_argument("--m", type=int, help="progression length (kind=ap, default 3)")
+    p.add_argument("--delta", type=int, help="grid width parameter (kind=grid, default 3)")
+    p.add_argument("--s", type=int, help="grid height parameter (kind=grid, default 0)")
     _add_common(p)
-    p.set_defaults(fn=cmd_ramsey)
+    p.set_defaults(fn=cmd_ramsey, **dict.fromkeys(_RAMSEY_FLAGS))
 
     p = sub.add_parser("weak-up", help="scan primes for small order and large invariant")
     p.add_argument("--q", type=int, required=True)
@@ -366,29 +414,29 @@ def build_parser():
     p.add_argument("--what", required=True,
                    choices=["entropy", "plotkin", "ball", "lambda-n", "f-alpha",
                             "construction", "ram-bound", "ram-grid-bound"])
-    p.add_argument("--x", type=float, default=0.5)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--R", type=float, default=0.5)
+    p.add_argument("--x", type=float)
+    p.add_argument("--q", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--p", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--R", type=float)
     p.add_argument("--composite-ok", action="store_true",
                    help="ram-bound without the primality requirement (no invariant check)")
     _add_common(p, "budget", "seed")
-    p.set_defaults(fn=cmd_asym)
+    p.set_defaults(fn=cmd_asym, **dict.fromkeys(_ASYM_FLAGS))
 
     p = sub.add_parser("table", help="recompute the F_2 invariant table and diff")
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--primes", default=None, help="comma list; default 7,17,23,31,41,43,47")
+    p.add_argument("--primes", type=_int_list, help="comma list; default 7,17,23,31,41,43,47")
     p.add_argument("--strict-exact", action="store_true",
                    help="exit 3 when any row is only a bracket")
-    _add_common(p, "budget", "workers", "cache")
+    _add_common(p, "budget", "cache")
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("strong-up", help="witness that distance+dimension collapses at prime length")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    _add_common(p, "budget", "workers")
+    _add_common(p, "budget")
     p.set_defaults(fn=cmd_strong_up)
 
     return ap

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .gf import DomainError, InternalError, PrimePower
+from .gf import DomainError, InternalError, PrimePower, from_digits, to_digits
 from .polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
 
 DEFAULT_BUDGET = 1 << 28
@@ -240,9 +239,7 @@ def ht_bound(zeros, n: int) -> int:
 def _systematic_rows_q2(code: CyclicCode):
     """Row basis (bitmask ints) in systematic form on columns 0..k-1."""
     k = code.dim
-    g_int = 0
-    for i, c in enumerate(code.gen.coeffs):
-        g_int |= c << i
+    g_int = from_digits(code.gen.coeffs, 2)
     rows = [g_int << i for i in range(k)]  # deg g = n-k, so no shift wraps
     for j in range(k):
         piv = next((r for r in range(j, k) if rows[r] >> j & 1), None)
@@ -305,56 +302,25 @@ def _block_min_weight(tables, hi_cw, skip_first):
     return int(acc.min())
 
 
-def _min_weight_q2_range(rows, n, klo, h_lo, h_hi, stop_at, include_low_block):
-    """Scan hi-part Gray steps in [h_lo, h_hi); returns (best, messages_done)."""
-    tables = _gray_low_tables(rows, n, klo)
-    block = 1 << klo
-    best = n + 1
-    work = 0
-    if include_low_block:
-        best = _block_min_weight(tables, 0, True)
-        work += block - 1
-        if best <= stop_at:
-            return best, work
-    g = (h_lo - 1) ^ ((h_lo - 1) >> 1) if h_lo > 0 else 0
-    hi_cw = 0
-    b = g
-    while b:
-        i = (b & -b).bit_length() - 1
-        hi_cw ^= rows[klo + i]
-        b &= b - 1
-    for h in range(max(h_lo, 1), h_hi):
-        hi_cw ^= rows[klo + ((h & -h).bit_length() - 1)]
-        w = _block_min_weight(tables, hi_cw, False)
-        work += block
-        if w < best:
-            best = w
-            if best <= stop_at:
-                break
-    return best, work
-
-
-def _min_weight_q2(rows, n, stop_at, workers=1):
+def _min_weight_q2(rows, n, stop_at):
+    """Minimum weight over all nonzero messages of the binary rows, stopping
+    once it reaches stop_at; returns (best, messages done).  The codewords of
+    the low min(k, 16) rows are tabled, and a Gray walk over the high rows
+    XORs one row per step onto the whole table."""
     k = len(rows)
     klo = min(k, 16)
-    khi = k - klo
-    if workers <= 1 or khi == 0:
-        return _min_weight_q2_range(rows, n, klo, 0, 1 << khi, stop_at, True)
-    # split the hi Gray walk; merging min is associative, so chunk results agree
-    # with the single-worker value (early exit is disabled inside workers)
-    nchunk = min(workers, 1 << khi)
-    bounds = [1 + (((1 << khi) - 1) * i) // nchunk for i in range(nchunk + 1)]
-    args = [(rows, n, klo, bounds[i], bounds[i + 1], 0, i == 0) for i in range(nchunk)]
-    best, work = n + 1, 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for b, w in pool.map(_q2_worker, args):
-            best = min(best, b)
-            work += w
+    tables = _gray_low_tables(rows, n, klo)
+    block = 1 << klo
+    best = _block_min_weight(tables, 0, True)
+    work = block - 1
+    hi_cw = 0
+    for h in range(1, 1 << (k - klo)):
+        if best <= stop_at:
+            break
+        hi_cw ^= rows[klo + ((h & -h).bit_length() - 1)]
+        best = min(best, _block_min_weight(tables, hi_cw, False))
+        work += block
     return best, work
-
-
-def _q2_worker(args):
-    return _min_weight_q2_range(*args)
 
 
 def _min_weight_qp(rows, q, stop_at, budget):
@@ -384,12 +350,7 @@ def _min_weight_qp(rows, q, stop_at, budget):
             zmax = int((lowtab[1:] == 0).sum(axis=1, dtype=np.int16).max())
             work += nlo - 1
         else:
-            digits = []
-            v = hi
-            for _ in range(k - klo):
-                digits.append(v % q)
-                v //= q
-            hi_cw = (np.asarray(digits, np.int64) @ rows[klo:]) % q
+            hi_cw = (np.asarray(to_digits(hi, q, k - klo), np.int64) @ rows[klo:]) % q
             neg = ((q - hi_cw) % q).astype(residue)
             zmax = int((lowtab == neg).sum(axis=1, dtype=np.int16).max())
             work += nlo
@@ -415,14 +376,8 @@ def _min_weight_generic(code: CyclicCode, stop_at):
         rows.append(row)
     best = n + 1
     work = 0
-    msg = [0] * k
-    for _ in range(field.q**k - 1):
-        # odometer increment
-        i = 0
-        while msg[i] == field.q - 1:
-            msg[i] = 0
-            i += 1
-        msg[i] += 1
+    for v in range(1, field.q**k):
+        msg = to_digits(v, field.q, k)
         cw = [0] * n
         for r, m in zip(rows, msg):
             if m:
@@ -536,7 +491,7 @@ def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
 # public distance + invariant
 
 
-def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, workers: int = 1,
+def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
                  lower_target: int | None = None, cache=None) -> DistanceResult:
     """Exact minimum distance when q^dim fits the budget, else the deepening
     tier, which returns exact if its bracket closes and a bracket otherwise.
@@ -556,7 +511,7 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, workers: int = 
     if q**k <= budget:
         if q == 2:
             rows = _systematic_rows_q2(code)
-            best, work = _min_weight_q2(rows, n, lower, workers)
+            best, work = _min_weight_q2(rows, n, lower)
         elif code.field.e == 1:
             rows = _systematic_rows_qp(code)
             best, work = _min_weight_qp(rows, q, lower, budget)
@@ -594,7 +549,7 @@ def _orbit_key(zeros, n: int, reps) -> tuple:
     return min(tuple(sorted(u * z % n for z in zeros)) for u in reps)
 
 
-def mu(n: int, q, budget: int = DEFAULT_BUDGET, workers: int = 1, cache=None) -> MuRecord:
+def mu(n: int, q, budget: int = DEFAULT_BUDGET, *, cache=None) -> MuRecord:
     """min(d + dim) over all nonzero cyclic codes of length n over F_q.
 
     Divisors are processed smallest dimension first with a best-so-far bound
@@ -628,7 +583,7 @@ def mu(n: int, q, budget: int = DEFAULT_BUDGET, workers: int = 1, cache=None) ->
         if prior is not None and (prior.exact or (target is not None and prior.lower >= target)):
             res = replace(prior, work=0)
         else:
-            res = min_distance(code, budget, workers, lower_target=target, cache=cache)
+            res = min_distance(code, budget, lower_target=target, cache=cache)
             orbit_results[orbit] = res
         results[i] = res
         if res.exact:
@@ -666,7 +621,7 @@ class StrongUPReport:
         return out
 
 
-def strong_up_witness(p: int, q: int, budget: int = DEFAULT_BUDGET, workers: int = 1) -> StrongUPReport:
+def strong_up_witness(p: int, q: int, budget: int = DEFAULT_BUDGET) -> StrongUPReport:
     """At prime length p: if q generates (Z/p)* the invariant must equal p+1
     (only the three trivial codes exist); otherwise, for p > 2q-2, some
     divisor must have d + dim <= p and is returned as a witness."""
@@ -676,7 +631,7 @@ def strong_up_witness(p: int, q: int, budget: int = DEFAULT_BUDGET, workers: int
         raise DomainError(f"{p} is not prime")
     if math.gcd(p, q) != 1:
         raise DomainError("q must be invertible modulo p")
-    rec = mu(p, q, budget, workers)
+    rec = mu(p, q, budget)
     if is_primitive(q, p):
         if not rec.exact or rec.mu != p + 1:
             raise InternalError(

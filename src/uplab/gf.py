@@ -136,6 +136,28 @@ def is_primitive(q: int, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# integer codes: base-p digits, least significant first
+
+
+def to_digits(v: int, base: int, length: int) -> tuple:
+    """The low `length` base-`base` digits of v, least significant first."""
+    out = []
+    for _ in range(length):
+        v, d = divmod(v, base)
+        out.append(d)
+    return tuple(out)
+
+
+def from_digits(digits, base: int) -> int:
+    """The integer whose base-`base` digits, least significant first, are
+    `digits`; the inverse of to_digits."""
+    v = 0
+    for d in reversed(digits):
+        v = v * base + d
+    return v
+
+
+# ---------------------------------------------------------------------------
 # the element product of FieldCtx for odd p, and of the F_{p^e} scalar
 # tables: digit tuples over F_p, lowest degree first, no trailing zeros.
 # Polynomials over F_q as such live in polyring; this product stays here
@@ -175,14 +197,9 @@ def _find_irreducible(p, d):
 
     field = PrimePower.make(p)
     for low in range(p**d):
-        coeffs = []
-        v = low
-        for _ in range(d):
-            coeffs.append(v % p)
-            v //= p
-        if d > 1 and coeffs[0] == 0:
+        f = to_digits(low, p, d) + (1,)
+        if d > 1 and f[0] == 0:
             continue
-        f = tuple(coeffs) + (1,)
         if is_irreducible(FPoly(field, f)):
             return f
     raise InternalError(f"no irreducible of degree {d} over F_{p}")
@@ -230,16 +247,7 @@ class PrimePower:
     def sneg(self, a):
         if self.e == 1:
             return -a % self.p
-        if a == 0:
-            return 0
-        p = self.p
-        out = 0
-        mul = 1
-        while a:
-            out += (-a % p) % p * mul
-            a //= p
-            mul *= p
-        return out
+        return from_digits([-d % self.p for d in to_digits(a, self.p, self.e)], self.p)
 
     def smul(self, a, b):
         if self.e == 1:
@@ -260,37 +268,16 @@ def _scalar_tables(p, e):
     if q > _SCALAR_CAP:
         raise DomainError(f"prime-power scalar field F_{q} beyond table cap {_SCALAR_CAP}")
     mod = _find_irreducible(p, e)
-
-    def decode(c):
-        out = []
-        for _ in range(e):
-            out.append(c % p)
-            c //= p
-        return tuple(out)
-
-    def encode(t):
-        out = 0
-        mul = 1
-        for d in t:
-            out += d * mul
-            mul *= p
-        return out
-
+    digits = [to_digits(c, p, e) for c in range(q)]
     add = tuple(
-        tuple(encode(tuple((x + y) % p for x, y in zip(decode(a), decode(b))))
-              for b in range(q))
-        for a in range(q)
+        tuple(from_digits([(x + y) % p for x, y in zip(da, db)], p) for db in digits)
+        for da in digits
     )
-    mul = []
-    for a in range(q):
-        da = _pp_trim(decode(a))
-        row = []
-        for b in range(q):
-            db = _pp_trim(decode(b))
-            prod = _pp_rem(_pp_mul(da, db, p), mod, p)
-            row.append(encode(prod + (0,) * (e - len(prod))))
-        mul.append(tuple(row))
-    mul = tuple(mul)
+    trimmed = [_pp_trim(d) for d in digits]
+    mul = tuple(
+        tuple(from_digits(_pp_rem(_pp_mul(da, db, p), mod, p), p) for db in trimmed)
+        for da in trimmed
+    )
     inv = [0] * q
     for a in range(1, q):
         for b in range(1, q):
@@ -339,17 +326,12 @@ class FFElem:
         """Integer code: digits base p, constant term least significant."""
         if isinstance(self.val, int):
             return self.val
-        out = 0
-        mul = 1
-        for d in self.val:
-            out += d * mul
-            mul *= self.ctx.char
-        return out
+        return from_digits(self.val, self.ctx.char)
 
     @property
     def digits(self) -> tuple:
         if isinstance(self.val, int):
-            return tuple((self.val >> i) & 1 for i in range(self.ctx.deg))
+            return to_digits(self.val, 2, self.ctx.deg)
         return self.val
 
     def __repr__(self):
@@ -359,8 +341,8 @@ class FFElem:
 class FieldCtx:
     """Concrete field F_{q^m} realized as F_p[x]/(modulus), deg = e*m.
 
-    Immutable after construction; safe to share across workers.  Use
-    field_ctx() to obtain one (cached, canonical).
+    Immutable after construction.  Use field_ctx() to obtain one (cached,
+    canonical).
     """
 
     def __init__(self, base: PrimePower, ext_degree: int):
@@ -378,7 +360,7 @@ class FieldCtx:
         self.group_factors = tuple(sorted(factorize(order - 1)))
         mod = _find_irreducible(p, deg)
         self._mod_digits = mod
-        self._mod_int = sum(b << i for i, b in enumerate(mod)) if p == 2 else None
+        self._mod_int = from_digits(mod, 2) if p == 2 else None
         self._exp = None
         self._log = None
         self._embed_map = None
@@ -406,12 +388,7 @@ class FieldCtx:
             raise DomainError(f"code {code} outside field of order {self.order}")
         if self.char == 2:
             return FFElem(code, self)
-        p = self.char
-        digs = []
-        for _ in range(self.deg):
-            digs.append(code % p)
-            code //= p
-        return FFElem(tuple(digs), self)
+        return FFElem(to_digits(code, self.char, self.deg), self)
 
     def elements(self):
         for c in range(self.order):
@@ -560,13 +537,8 @@ class FieldCtx:
         root = min(roots, key=lambda e: e.code)
         emb = {}
         for c in range(q):
-            digs = []
-            v = c
-            for _ in range(self.base.e):
-                digs.append(v % self.char)
-                v //= self.char
             acc = self.zero()
-            for d in reversed(digs):
+            for d in reversed(to_digits(c, self.char, self.base.e)):
                 acc = self.add(self.mul(acc, root), self.embed_prime(d))
             emb[c] = acc
         self._embed_map = emb
@@ -579,7 +551,7 @@ class FieldCtx:
         return self.from_code(c % self.char)
 
     def __repr__(self):
-        return f"FieldCtx(q={self.base.q}, m={self.ext_degree}, modulus_code={sum(b * self.char**i for i, b in enumerate(self._mod_digits))})"
+        return f"FieldCtx(q={self.base.q}, m={self.ext_degree}, modulus_code={from_digits(self._mod_digits, self.char)})"
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf import DomainError, FFElem, FieldCtx, InternalError, PrimePower, nth_root_of_unity, splitting_ctx
+from .gf import (DomainError, FFElem, FieldCtx, InternalError, PrimePower, from_digits,
+                 nth_root_of_unity, splitting_ctx, to_digits)
 from .polyring import _ALPHABET, poly_gcd, word_to_poly, xn_minus_1
 _EXHAUSTIVE_CAP = 1 << 24
 
@@ -66,7 +67,7 @@ def _check_length(n: int, field: PrimePower):
         raise DomainError(f"gcd(n={n}, q={field.q}) != 1")
 
 
-def ms_forward(word, q, ctx: FieldCtx | None = None, zeta: FFElem | None = None) -> MSVector:
+def ms_forward(word, q, zeta: FFElem | None = None) -> MSVector:
     """Evaluate the word's polynomial at zeta^1..zeta^n, Horner per point.
 
     zeta defaults to the canonical root; passing zeta^b for gcd(b, n) = 1
@@ -76,8 +77,7 @@ def ms_forward(word, q, ctx: FieldCtx | None = None, zeta: FFElem | None = None)
     word = tuple(word)
     n = len(word)
     _check_length(n, field)
-    if ctx is None:
-        ctx = splitting_ctx(field, n)
+    ctx = splitting_ctx(field, n)
     if zeta is None:
         zeta = nth_root_of_unity(ctx, n)
     coeffs = [ctx.embed_scalar(c) for c in word]
@@ -152,7 +152,7 @@ def transform_weight(word, q) -> int:
         bad = set(word) - {0, 1}
         if bad:
             raise DomainError(f"scalar code {bad.pop()} outside F_2")
-        a, b = (1 << n) | 1, sum(1 << i for i, c in enumerate(word) if c)
+        a, b = (1 << n) | 1, from_digits(word, 2)
         while b:
             while a.bit_length() >= b.bit_length():
                 a ^= b << (a.bit_length() - b.bit_length())
@@ -194,14 +194,14 @@ def naive_up_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
     if mode == "exhaustive":
         if field.q**n > _EXHAUSTIVE_CAP:
             raise DomainError(f"q^n = {field.q**n} beyond exhaustive cap {_EXHAUSTIVE_CAP}")
-        gen = _all_words(n, field.q)
+        gen = (to_digits(v, field.q, n) for v in range(1, field.q**n))
     elif mode == "random":
         import random
 
         if trials < 1:
             raise DomainError(f"random mode needs trials >= 1, got {trials}")
         rng = random.Random(seed)
-        gen = (_int_word(rng.randrange(1, field.q**n), n, field.q) for _ in range(trials))
+        gen = (to_digits(rng.randrange(1, field.q**n), field.q, n) for _ in range(trials))
     else:
         raise DomainError(f"unknown mode {mode!r}")
 
@@ -223,16 +223,3 @@ def naive_up_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
             best_word = word
     return UPScanReport(n, field.q, mode, checked, best, _word_string(best_word),
                         equality, violations)
-
-
-def _all_words(n, q):
-    for v in range(1, q**n):
-        yield _int_word(v, n, q)
-
-
-def _int_word(v, n, q):
-    out = []
-    for _ in range(n):
-        out.append(v % q)
-        v //= q
-    return tuple(out)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf import DomainError, FieldCtx, InternalError, PrimePower, splitting_ctx
+from .gf import DomainError, InternalError, PrimePower, nth_root_of_unity, splitting_ctx
 
 _ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -225,7 +225,7 @@ def cyclotomic_cosets(n: int, q: int) -> CosetPartition:
     return CosetPartition(n, q, tuple(cosets))
 
 
-def factor_xn_minus_1(n: int, q, ctx: FieldCtx | None = None):
+def factor_xn_minus_1(n: int, q):
     """Irreducible factors of x^n - 1 over F_q, one per cyclotomic coset.
 
     Factor i is the product of (x - zeta^j) over coset i, with zeta the
@@ -234,10 +234,7 @@ def factor_xn_minus_1(n: int, q, ctx: FieldCtx | None = None):
     """
     field = q if isinstance(q, PrimePower) else PrimePower.from_int(q)
     part = cyclotomic_cosets(n, field.q)
-    if ctx is None:
-        ctx = splitting_ctx(field, n)
-    from .gf import nth_root_of_unity
-
+    ctx = splitting_ctx(field, n)
     zeta = nth_root_of_unity(ctx, n)
     factors = []
     for coset in part.cosets:

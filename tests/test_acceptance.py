@@ -232,4 +232,4 @@ def test_criterion_10_byte_identical_reruns():
                  ("up-scan", "--n", "9", "--q", "2"),
                  ("asym", "--what", "construction", "--q", "2", "--p", "5", "--seed", "3")):
         ok &= run(*args) == run(*args)
-    _report(10, "byte-identical reruns at workers=1", ok)
+    _report(10, "byte-identical reruns", ok)

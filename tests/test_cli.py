@@ -211,6 +211,10 @@ def test_weak_up_command():
     (["ms", "--q", "2", "--word", "1101000"], ["--seed", "1"]),
     (["mu", "--n", "7", "--q", "2"], ["--seed", "1"]),
     (["weak-up", "--q", "2", "--eps", "0.2", "--lam", "0.6", "--pmax", "7"], ["--workers", "2"]),
+    (["mu", "--n", "7", "--q", "2"], ["--workers", "2"]),
+    (["mindist", "--n", "7", "--q", "2", "--gen", "1101"], ["--workers", "2"]),
+    (["table", "--primes", "7"], ["--workers", "2"]),
+    (["strong-up", "--p", "7", "--q", "2"], ["--workers", "2"]),
 ])
 def test_unused_flags_are_usage_errors(argv, flag, capsys):
     # a flag the command would ignore is refused instead
@@ -246,3 +250,60 @@ def test_q_beyond_digit_strings_refused(tmp_path):
     # without digit strings anywhere, q > 36 runs
     r = run_cli("weak-up", "--q", "37", "--eps", "0.2", "--lam", "0.6", "--pmax", "7")
     assert r.returncode == 0 and [row["p"] for row in json.loads(r.stdout)] == [2, 3, 5, 7]
+
+
+# a command with modes reads some of its flags in each mode; the values
+# below are the defaults
+MODE_FLAGS = {
+    "asym": {"--x": "0.5", "--q": "2", "--n": "7", "--p": "3", "--alpha": "0.5", "--R": "0.5",
+             "--composite-ok": None, "--budget": str(1 << 28), "--seed": "0"},
+    "ramsey": {"--m": "3", "--delta": "3", "--s": "0"},
+    "up-scan": {"--trials": "10000", "--seed": "0"},
+}
+MODE_READS = [
+    (["asym", "--what", "entropy"], ["--x"]),
+    (["asym", "--what", "plotkin"], ["--q"]),
+    (["asym", "--what", "ball"], ["--n", "--alpha", "--q"]),
+    (["asym", "--what", "lambda-n"], ["--n", "--p", "--alpha", "--R"]),
+    (["asym", "--what", "f-alpha"], ["--p", "--alpha", "--q", "--R"]),
+    (["asym", "--what", "construction"], ["--q", "--p", "--R", "--seed", "--budget", "--alpha"]),
+    (["asym", "--what", "ram-bound", "--composite-ok"], ["--p"]),
+    (["asym", "--what", "ram-bound"], ["--p", "--q", "--budget"]),
+    (["asym", "--what", "ram-grid-bound"], ["--p", "--q", "--budget"]),
+    (["ramsey", "--kind", "ap", "--n", "9"], ["--m"]),
+    (["ramsey", "--kind", "grid", "--n", "7"], ["--delta", "--s"]),
+    (["up-scan", "--n", "7", "--q", "2", "--mode", "exhaustive"], []),
+    (["up-scan", "--n", "7", "--q", "2", "--mode", "random"], ["--trials", "--seed"]),
+]
+
+
+def _flag_args(command, flag):
+    value = MODE_FLAGS[command][flag]
+    return [flag] if value is None else [flag, value]
+
+
+@pytest.mark.parametrize("base,reads", MODE_READS, ids=lambda v: " ".join(v))
+def test_mode_reads_its_flags(base, reads, capsys):
+    # passing each flag the mode reads at its default changes no byte
+    assert main(base) == 0
+    plain = capsys.readouterr().out
+    explicit = [a for f in reads for a in _flag_args(base[0], f)]
+    assert main(base + explicit) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("base,flag", [
+    (base, flag) for base, reads in MODE_READS for flag in MODE_FLAGS[base[0]]
+    # --composite-ok switches ram-bound to another mode
+    if flag not in reads and flag not in base and not (flag == "--composite-ok" and "ram-bound" in base)
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_mode_refuses_unread_flags(base, flag, capsys):
+    assert main(base + _flag_args(base[0], flag)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+
+
+def test_table_bad_primes_exit_2(capsys):
+    assert main(["table", "--primes", "7,x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--primes" in captured.err and "'7,x'" in captured.err

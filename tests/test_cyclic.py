@@ -328,9 +328,26 @@ def test_budget_never_aborts():
     assert not r.exact or r.lower == r.upper
 
 
-def test_workers_agree():
-    qr = [c for c in enumerate_codes(17, 2) if c.dim == 9][0]
-    assert min_distance(qr, workers=2).d == min_distance(qr).d
+@pytest.mark.parametrize("gen,dim,d,work", [
+    ("10001110001", 21, 5, 2**21 - 1),  # the whole walk: every nonzero message
+    ("100101", 26, 3, 2**16 - 1),       # the low table alone reaches bch = 3
+])
+def test_gray_walk_past_the_low_table(gen, dim, d, work):
+    # k > 16: the high rows are walked serially, and the work is exact
+    code = CyclicCode.from_gen(31, 2, gen)
+    r = min_distance(code)
+    assert (code.dim, r.d, r.method, r.work) == (dim, d, "exhaustive", work)
+
+
+def test_no_positional_workers():
+    # the removed workers argument must not bind to a later parameter
+    code = CyclicCode.from_gen(7, 2, "1101")
+    with pytest.raises(TypeError):
+        mu(7, 2, 1 << 28, 1)
+    with pytest.raises(TypeError):
+        min_distance(code, 1 << 28, 1)
+    with pytest.raises(TypeError):
+        strong_up_witness(7, 2, 1 << 28, 1)
 
 
 def test_distance_monotone_under_divisibility():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from uplab.gf import (DomainError, FieldCtx, PrimePower, _find_irreducible, factorize,
-                      field_ctx, is_prime, is_primitive, mult_order,
-                      nth_root_of_unity, ord_mod, splitting_ctx)
+                      field_ctx, from_digits, is_prime, is_primitive, mult_order,
+                      nth_root_of_unity, ord_mod, splitting_ctx, to_digits)
 
 
 def test_is_prime_small():
@@ -183,3 +184,22 @@ def test_field_arithmetic_axioms_random():
             assert a * b == b * a
             if b:
                 assert (a / b) * b == a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 251).flatmap(
+    lambda b: st.integers(0, 12).flatmap(
+        lambda length: st.tuples(st.just(b), st.just(length), st.integers(0, b**length - 1)))))
+def test_digit_codec_round_trip(case):
+    base, length, v = case
+    digits = to_digits(v, base, length)
+    assert len(digits) == length and all(0 <= d < base for d in digits)
+    assert from_digits(digits, base) == v
+    assert to_digits(v, base, length + 2) == digits + (0, 0)
+
+
+def test_digit_codec_order():
+    # least significant digit first: the integer-code convention of the module
+    assert to_digits(11, 3, 4) == (2, 0, 1, 0)
+    assert from_digits((2, 0, 1), 3) == 11
+    assert from_digits((), 5) == 0
