@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cyclic import DEFAULT_BUDGET, CyclicCode, min_distance, mu
 from .gf import DomainError, PrimePower, ord_mod
 from .polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1
 
@@ -65,16 +66,14 @@ class WeakUPRow:
 
 
 def weak_up_scan(q: int, eps: float, lam: float, p_max: int,
-                 budget: int | None = None, cache=None) -> list:
+                 budget: int = DEFAULT_BUDGET, cache=None) -> list:
     """Per prime p <= p_max: the order of q mod p, the invariant (possibly a
     bracket under the budget), and the two condition flags ord < eps*p and
     mu > lam*p."""
     if not 0 < eps < lam <= 1:
         raise DomainError("need 0 < eps < lambda <= 1")
-    from .cyclic import DEFAULT_BUDGET, mu
     from .gf import is_prime
 
-    budget = budget or DEFAULT_BUDGET
     rows = []
     for p in range(2, p_max + 1):
         if not is_prime(p) or math.gcd(p, q) != 1:
@@ -210,7 +209,7 @@ class ConstructionReport:
 
 
 def construction_demo(q: int, p: int, R: float, seed: int = 0,
-                      budget: int | None = None, alpha: float = 0.5) -> ConstructionReport:
+                      budget: int = DEFAULT_BUDGET, alpha: float = 0.5) -> ConstructionReport:
     """Factor x^(q^p - 1) - 1, verify the census (q-1 linear factors and s of
     degree p), pick s' = floor(s(1-R)) of the degree-p factors by seed, and
     build the code they generate: dimension n - p*s' by construction."""
@@ -239,15 +238,8 @@ def construction_demo(q: int, p: int, R: float, seed: int = 0,
     gen = FPoly.one(field)
     for i in chosen:
         gen = gen * factors[deg_p[i]]
-    from .cyclic import DEFAULT_BUDGET, CyclicCode, min_distance
-
-    zeros = []
-    for i in chosen:
-        zeros.extend(part.cosets[deg_p[i]])
-    code = CyclicCode(field, n, gen, tuple(sorted(zeros)), n - gen.degree)
-    if code.dim != n - p * s_prime:
-        raise DomainError("dimension drifted from n - p*s'")
-    dist = min_distance(code, budget or DEFAULT_BUDGET)
+    code = CyclicCode._from_cosets(field, part, [deg_p[i] for i in chosen], gen)
+    dist = min_distance(code, budget)
     ball_exact, ball_log2 = ball_volume_upper(n, alpha, q)
     lam = lambda_n_bound(n, p, alpha, R)
     binom = math.comb(s, s_prime)

@@ -280,10 +280,20 @@ def cmd_strong_up(args):
     return EXIT_OK
 
 
+def _nonneg_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} < 0")
+    return value
+
+
 # the shared flags; each command registers the ones it reads
 _COMMON = {
-    "budget": dict(type=int, default=DEFAULT_BUDGET,
-                   help="max codeword evaluations per distance computation"),
+    "budget": dict(type=_nonneg_int, default=DEFAULT_BUDGET,
+                   help="max codeword evaluations per distance computation (>= 0)"),
     "seed": dict(type=int, default=0),
     "cache": dict(default=None, help="cache file or directory (UPLAB_CACHE_DIR is the fallback)"),
 }

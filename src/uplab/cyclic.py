@@ -7,7 +7,9 @@ dimensions beyond the budget), and the invariant
 
     mu(q, n) = min over nonzero codes of (minimum distance + dimension).
 
-Two facts about cyclic codes keep the fallback cheap.  Every k cyclically
+Both distance tiers enumerate messages in the systematic basis on columns
+0..k-1, read off the remainders x^(n-k+i) mod g with no elimination.  Two
+facts about cyclic codes keep the fallback cheap.  Every k cyclically
 consecutive coordinates form an information set, so one systematic basis
 certifies a bound over all n windows at once.  And a unit u mod n maps the
 code with zero set Z onto the code with zero set uZ (x -> x^u permutes
@@ -40,14 +42,23 @@ class CyclicCode:
     n: int
     gen: FPoly
     zeros: tuple  # exponents i with gen(zeta^i) = 0, a union of cosets
-    dim: int
 
     @property
     def q(self) -> int:
         return self.field.q
 
+    @property
+    def dim(self) -> int:
+        return self.n - self.gen.degree
+
     def gen_string(self) -> str:
         return self.gen.to_string()
+
+    @classmethod
+    def _from_cosets(cls, field: PrimePower, part, chosen, gen: FPoly) -> "CyclicCode":
+        """The code generated by gen, the product of the factors of x^n - 1
+        at the coset indices chosen; its zeros are the union of those cosets."""
+        return cls(field, part.n, gen, tuple(sorted(z for i in chosen for z in part.cosets[i])))
 
     @classmethod
     def from_gen(cls, n: int, q, gen) -> "CyclicCode":
@@ -55,19 +66,19 @@ class CyclicCode:
         if isinstance(gen, str):
             gen = FPoly.from_string(field, gen)
         gen = gen.monic()
+        if gen.is_zero():
+            raise DomainError("the zero polynomial generates no code")
         if gen.degree >= n:
             raise DomainError("generator must be a proper divisor of x^n - 1")
         if not (xn_minus_1(field, n) % gen).is_zero():
             raise DomainError("generator does not divide x^n - 1")
         part = cyclotomic_cosets(n, field.q)
         factors = factor_xn_minus_1(n, field)
-        zeros = []
-        for coset, f in zip(part.cosets, factors):
-            if (gen % f).is_zero():
-                zeros.extend(coset)
-        if len(zeros) != gen.degree:
+        code = cls._from_cosets(field, part, [i for i, f in enumerate(factors)
+                                              if (gen % f).is_zero()], gen)
+        if len(code.zeros) != gen.degree:
             raise InternalError("zero count disagrees with generator degree")
-        return cls(field, n, gen, tuple(sorted(zeros)), n - gen.degree)
+        return code
 
     @cached_property
     def _bch(self) -> int:
@@ -152,6 +163,8 @@ def enumerate_codes(n: int, q) -> list:
 
     t is the number of irreducible factors of x^n - 1; the full product (the
     zero code) is excluded, the trivial generator 1 (the whole space) is kept.
+    The generator of a coset mask is that of the mask without its lowest bit
+    times one factor.
     """
     field = q if isinstance(q, PrimePower) else PrimePower.from_int(q)
     part = cyclotomic_cosets(n, field.q)
@@ -159,15 +172,11 @@ def enumerate_codes(n: int, q) -> list:
     if t > _ENUM_CAP_T:
         raise DomainError(f"{t} irreducible factors: 2^{t} divisors is not enumerable")
     factors = factor_xn_minus_1(n, field)
-    codes = []
-    for mask in range((1 << t) - 1):  # all proper subsets
-        gen = FPoly.one(field)
-        zeros = []
-        for i in range(t):
-            if mask >> i & 1:
-                gen = gen * factors[i]
-                zeros.extend(part.cosets[i])
-        codes.append(CyclicCode(field, n, gen, tuple(sorted(zeros)), n - gen.degree))
+    gens = [FPoly.one(field)]
+    for mask in range(1, (1 << t) - 1):  # all proper subsets
+        gens.append(gens[mask & (mask - 1)] * factors[(mask & -mask).bit_length() - 1])
+    codes = [CyclicCode._from_cosets(field, part, [i for i in range(t) if mask >> i & 1], gen)
+             for mask, gen in enumerate(gens)]
     # for q <= 36 this is the order of (degree, generator string): same-degree
     # strings have equal length over an alphabet sorted by digit value
     codes.sort(key=lambda c: (c.gen.degree, c.gen.coeffs))
@@ -236,38 +245,31 @@ def ht_bound(zeros, n: int) -> int:
 # generator matrices
 
 
-def _systematic_rows_q2(code: CyclicCode):
-    """Row basis (bitmask ints) in systematic form on columns 0..k-1."""
-    k = code.dim
-    g_int = from_digits(code.gen.coeffs, 2)
-    rows = [g_int << i for i in range(k)]  # deg g = n-k, so no shift wraps
-    for j in range(k):
-        piv = next((r for r in range(j, k) if rows[r] >> j & 1), None)
-        if piv is None:
-            raise InternalError("columns 0..k-1 are not an information set")
-        rows[j], rows[piv] = rows[piv], rows[j]
-        for r in range(k):
-            if r != j and rows[r] >> j & 1:
-                rows[r] ^= rows[j]
-    return rows
+def _systematic_rows(code: CyclicCode):
+    """The basis in systematic form on columns 0..k-1, with no elimination.
 
-
-def _systematic_rows_qp(code: CyclicCode):
-    """Same as above for prime q > 2, as a numpy int64 matrix (entries below
-    q, products below q^2, so no intermediate overflows)."""
+    With m = n - k = deg g and r_i = x^(m+i) mod g, row i is x^i - x^k r_i: g
+    divides it, since x^k r_i = x^(n+i) = x^i mod g.  r_0 = x^m - g, and each
+    r_(i+1) is x r_i less its x^m coefficient times g.  Bitmask ints for q = 2,
+    a numpy int64 matrix for prime q > 2 (entries below q)."""
     n, k, p = code.n, code.dim, code.field.p
-    base = np.zeros(n, np.int64)
-    base[: len(code.gen.coeffs)] = code.gen.coeffs
-    rows = np.stack([np.roll(base, i) for i in range(k)])
-    for j in range(k):
-        piv = next((r for r in range(j, k) if rows[r, j]), None)
-        if piv is None:
-            raise InternalError("columns 0..k-1 are not an information set")
-        rows[[j, piv]] = rows[[piv, j]]
-        rows[j] = rows[j] * pow(int(rows[j, j]), p - 2, p) % p
-        for r in range(k):
-            if r != j and rows[r, j]:
-                rows[r] = (rows[r] - rows[r, j] * rows[j]) % p
+    m = n - k
+    if p == 2:
+        g, r, rows = from_digits(code.gen.coeffs, 2), 1 << m, []
+        for i in range(k):
+            if r >> m & 1:
+                r ^= g
+            rows.append(1 << i | r << k)
+            r <<= 1
+        return rows
+    g, r = np.array(code.gen.coeffs, np.int64), np.zeros(m + 1, np.int64)
+    rows = np.zeros((k, n), np.int64)
+    r[m] = 1
+    for i in range(k):
+        r = (r - r[m] * g) % p
+        rows[i, i] = 1
+        rows[i, k:] = -r[:m] % p
+        r = np.roll(r, 1)
     return rows
 
 
@@ -462,12 +464,8 @@ def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
     A target stops the deepening once the certified lower bound reaches it
     (the caller has established the code cannot matter past that point)."""
     n, k, q = code.n, code.dim, code.q
-    if q == 2:
-        rows = _systematic_rows_q2(code)
-        upper = min(r.bit_count() for r in rows)
-    else:
-        rows = _systematic_rows_qp(code)
-        upper = int(np.count_nonzero(rows, axis=1).min())
+    rows = _systematic_rows(code)
+    upper = min(r.bit_count() for r in rows) if q == 2 else int(np.count_nonzero(rows, axis=1).min())
     work = k
     w = 1  # every message of weight <= w has been seen
     while True:
@@ -497,6 +495,10 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     tier, which returns exact if its bracket closes and a bracket otherwise.
     lower_target lets a caller accept any certified bound reaching it.
 
+    The budget bounds the enumeration only: the deepening tier charges its k
+    basis rows as work before it checks the budget, so a small budget can
+    report work above it ([7,4] Hamming code, budget 1: exact, work 4).
+
     A cache (cache.get(code) -> exact result with work 0, or None;
     cache.put(code, result)) answers before any work and receives every exact
     result computed here."""
@@ -510,11 +512,9 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
             return hit
     if q**k <= budget:
         if q == 2:
-            rows = _systematic_rows_q2(code)
-            best, work = _min_weight_q2(rows, n, lower)
+            best, work = _min_weight_q2(_systematic_rows(code), n, lower)
         elif code.field.e == 1:
-            rows = _systematic_rows_qp(code)
-            best, work = _min_weight_qp(rows, q, lower, budget)
+            best, work = _min_weight_qp(_systematic_rows(code), q, lower, budget)
         else:
             best, work = _min_weight_generic(code, lower)
         if best < lower:
@@ -531,16 +531,9 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
 
 
 def _multiplier_reps(n: int, q: int) -> list:
-    """One unit u from each coset of <q> in (Z/n)*, smallest first."""
-    reps, seen = [], set()
-    for u in range(1, max(n, 2)):
-        if math.gcd(u, n) != 1 or u in seen:
-            continue
-        reps.append(u)
-        while u not in seen:
-            seen.add(u)
-            u = u * q % n
-    return reps
+    """The least member of each coset of <q> in (Z/n)*: the q-cyclotomic
+    cosets of units, smallest first."""
+    return [c[0] for c in cyclotomic_cosets(n, q).cosets if math.gcd(c[0], n) == 1]
 
 
 def _orbit_key(zeros, n: int, reps) -> tuple:

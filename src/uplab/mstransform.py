@@ -67,8 +67,22 @@ def _check_length(n: int, field: PrimePower):
         raise DomainError(f"gcd(n={n}, q={field.q}) != 1")
 
 
+def _at_powers(ctx: FieldCtx, coeffs, z: FFElem) -> list:
+    """The polynomial with these coefficients (lowest degree first) at
+    z^1, ..., z^n, Horner per point."""
+    values = []
+    point = ctx.one()
+    for _ in range(len(coeffs)):
+        point = ctx.mul(point, z)
+        acc = ctx.zero()
+        for c in reversed(coeffs):
+            acc = ctx.add(ctx.mul(acc, point), c)
+        values.append(acc)
+    return values
+
+
 def ms_forward(word, q, zeta: FFElem | None = None) -> MSVector:
-    """Evaluate the word's polynomial at zeta^1..zeta^n, Horner per point.
+    """Evaluate the word's polynomial at zeta^1..zeta^n.
 
     zeta defaults to the canonical root; passing zeta^b for gcd(b, n) = 1
     permutes the values and is how weight invariance is exercised.
@@ -80,38 +94,25 @@ def ms_forward(word, q, zeta: FFElem | None = None) -> MSVector:
     ctx = splitting_ctx(field, n)
     if zeta is None:
         zeta = nth_root_of_unity(ctx, n)
-    coeffs = [ctx.embed_scalar(c) for c in word]
-    values = []
-    point = ctx.one()
-    for _ in range(n):
-        point = ctx.mul(point, zeta)  # zeta^i for i = 1..n
-        acc = ctx.zero()
-        for c in reversed(coeffs):
-            acc = ctx.add(ctx.mul(acc, point), c)
-        values.append(acc)
+    values = _at_powers(ctx, [ctx.embed_scalar(c) for c in word], zeta)
     return MSVector(n, field, ctx, tuple(values))
 
 
 def ms_inverse(msv: MSVector, zeta: FFElem | None = None) -> tuple:
     """Recover the word: f_j = n^{-1} * sum_i F_i zeta^{-ij}; the conjugacy
-    invariant is checked first since it characterizes transforms of F_q words."""
+    invariant is checked first since it characterizes transforms of F_q words.
+    The sum is F_n + F_1 y + ... + F_{n-1} y^{n-1} at y = zeta^-j, so the
+    values at zeta^-1, ..., zeta^-n are f_1, ..., f_{n-1}, f_0."""
     if not msv.conjugacy_ok():
         raise DomainError("conjugacy constraint violated: not the transform of a base-field word")
-    ctx, n, field = msv.ctx, msv.n, msv.field
+    ctx, n = msv.ctx, msv.n
     if zeta is None:
         zeta = nth_root_of_unity(ctx, n)
-    zinv = ctx.inv(zeta)
     n_inv = ctx.embed_prime(pow(n % ctx.char, ctx.char - 2, ctx.char))
+    sums = _at_powers(ctx, msv.values[-1:] + msv.values[:-1], ctx.inv(zeta))
     word = []
-    for j in range(n):
-        point = ctx.pow(zinv, j)
-        # sum_i F_i point^i, Horner on coefficients F_n..F_1 then one factor
-        acc = ctx.zero()
-        for v in reversed(msv.values):
-            acc = ctx.add(ctx.mul(acc, point), v)
-        acc = ctx.mul(acc, point)  # promote index base from 0 to 1
-        acc = ctx.mul(acc, n_inv)
-        code = ctx.scalar_code(acc)
+    for acc in sums[-1:] + sums[:-1]:
+        code = ctx.scalar_code(ctx.mul(acc, n_inv))
         if code is None:
             raise InternalError("inverse transform left the base field despite conjugacy")
         word.append(code)

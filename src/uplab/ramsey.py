@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .cyclic import DEFAULT_BUDGET, mu
 from .gf import DomainError, InternalError
 
 R_CAP = 40     # branch-and-bound cap for plain progressions
@@ -175,7 +176,7 @@ def ap_scan_bound(n: int, *, with_rows: bool = False):
     return (best, rows) if with_rows else best
 
 
-def prop_ram_lower(p: int, q: int, budget: int | None = None) -> int:
+def prop_ram_lower(p: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """The progression-scan lower bound on mu at prime p, verified against it."""
     from .gf import is_prime
 
@@ -184,9 +185,7 @@ def prop_ram_lower(p: int, q: int, budget: int | None = None) -> int:
     if math.gcd(p, q) != 1:
         raise DomainError("gcd(p, q) must be 1")
     bound = ap_scan_bound(p)
-    from .cyclic import DEFAULT_BUDGET, mu
-
-    rec = mu(p, q, budget or DEFAULT_BUDGET)
+    rec = mu(p, q, budget)
     if rec.exact and rec.mu < bound:
         raise InternalError(f"mu({q},{p}) = {rec.mu} below the proven bound {bound}")
     return bound
@@ -205,7 +204,7 @@ class GridBoundReport:
                 "bound_ap": self.bound_ap, "mu": self.mu}
 
 
-def prop_ram_grid_lower(p: int, q: int, budget: int | None = None) -> GridBoundReport:
+def prop_ram_grid_lower(p: int, q: int, budget: int = DEFAULT_BUDGET) -> GridBoundReport:
     """The grid-pattern lower bound min(delta + s - 1 + p - r_{delta,s}(p));
     incomparable a priori with the plain scan bound, so both are reported."""
     from .gf import is_prime
@@ -226,9 +225,7 @@ def prop_ram_grid_lower(p: int, q: int, budget: int | None = None) -> GridBoundR
             if best is None or bound < best:
                 best = bound
     bound_ap = ap_scan_bound(p)
-    from .cyclic import DEFAULT_BUDGET, mu
-
-    rec = mu(p, q, budget or DEFAULT_BUDGET)
+    rec = mu(p, q, budget)
     if rec.exact and rec.mu < best:
         raise InternalError(f"mu({q},{p}) = {rec.mu} below the proven grid bound {best}")
     return GridBoundReport(p, q, best, bound_ap, rec.mu_lower)

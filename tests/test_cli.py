@@ -307,3 +307,55 @@ def test_table_bad_primes_exit_2(capsys):
     assert main(["table", "--primes", "7,x"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--primes" in captured.err and "'7,x'" in captured.err
+
+
+@pytest.mark.parametrize("gen", ["0", "00"])
+def test_mindist_zero_generator_exit_2(gen, capsys):
+    assert main(["mindist", "--n", "7", "--q", "2", "--gen", gen]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "zero polynomial" in captured.err
+
+
+# every command that registers the shared --budget flag
+BUDGET_COMMANDS = [
+    ["mu", "--n", "7", "--q", "2"],
+    ["mindist", "--n", "7", "--q", "2", "--gen", "1101"],
+    ["table", "--primes", "7"],
+    ["strong-up", "--p", "7", "--q", "2"],
+    ["weak-up", "--q", "2", "--eps", "0.2", "--lam", "0.6", "--pmax", "7"],
+    ["asym", "--what", "construction"],
+    ["asym", "--what", "ram-bound", "--p", "7"],
+    ["asym", "--what", "ram-grid-bound", "--p", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", BUDGET_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("budget", ["-1", "-5", "x"])
+def test_budget_refuses_non_budgets(argv, budget, capsys):
+    assert main(argv + ["--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--budget" in captured.err
+
+
+@pytest.mark.parametrize("argv", BUDGET_COMMANDS, ids=" ".join)
+def test_budget_zero_is_accepted(argv, capsys):
+    assert main(argv + ["--budget", "0"]) in (0, 3)
+    assert capsys.readouterr().out
+
+
+def test_budget_zero_means_zero(capsys):
+    # mu and weak-up agree on p = 17 at budget 0: the bracket 13..14, exit 3
+    assert main(["mu", "--n", "17", "--q", "2", "--budget", "0"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert (out["mu_lower"], out["mu_upper"], out["exact"]) == (13, 14, False)
+    assert main(["weak-up", "--q", "2", "--eps", "0.2", "--lam", "0.6", "--pmax", "17",
+                 "--budget", "0"]) == 3
+    row = json.loads(capsys.readouterr().out)[-1]
+    assert (row["p"], row["mu_lower"], row["mu_upper"], row["mu"]) == (17, 13, 14, None)
+
+
+def test_budget_bounds_the_enumeration_only(capsys):
+    # the deepening tier charges its k basis rows before it checks the budget
+    assert main(["mindist", "--n", "7", "--q", "2", "--gen", "1101", "--budget", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["method"], out["exact"], out["work"]) == ("bz", True, 4)

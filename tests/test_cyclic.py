@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from uplab.cli import Cache
-from uplab.gf import DomainError
-from uplab.polyring import xn_minus_1
+from uplab.asymptotics import construction_demo
+from uplab.gf import DomainError, PrimePower, to_digits
+from uplab.polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
 from uplab.cyclic import (CyclicCode, _bz_distance, _orbit_key, _multiplier_reps,
-                          bch_bound, enumerate_codes, ht_bound, min_distance, mu,
-                          strong_up_witness)
+                          _systematic_rows, bch_bound, enumerate_codes, ht_bound,
+                          min_distance, mu, strong_up_witness)
 
 # deterministic property tests that leave no example database behind
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -143,6 +145,41 @@ def test_from_gen_roundtrip():
         CyclicCode.from_gen(7, 2, "111")  # x^2+x+1 does not divide x^7-1
 
 
+def test_enumeration_matches_per_mask_products():
+    # oracle: each mask's generator as the full product of its factors
+    for n, q in [(7, 2), (21, 2), (31, 2), (26, 3), (12, 5), (8, 9)]:
+        field = PrimePower.from_int(q)
+        part, factors = cyclotomic_cosets(n, q), factor_xn_minus_1(n, field)
+        t = len(factors)
+        expected = []
+        for mask in range((1 << t) - 1):
+            gen, zeros = FPoly.one(field), []
+            for i in range(t):
+                if mask >> i & 1:
+                    gen = gen * factors[i]
+                    zeros.extend(part.cosets[i])
+            expected.append((gen.degree, gen.coeffs, tuple(sorted(zeros))))
+        got = [(c.gen.degree, c.gen.coeffs, c.zeros) for c in enumerate_codes(n, q)]
+        assert got == sorted(expected)
+
+
+def test_from_gen_refuses_the_zero_polynomial():
+    for gen in ("0", "00"):
+        with pytest.raises(DomainError, match="zero polynomial"):
+            CyclicCode.from_gen(7, 2, gen)
+    with pytest.raises(DomainError, match="zero polynomial"):
+        CyclicCode.from_gen(8, 3, FPoly.zero(PrimePower.from_int(3)))
+
+
+def test_construction_code_is_its_generator_code():
+    for q, p, seed in [(2, 3, 0), (2, 5, 1), (3, 3, 0), (2, 7, 4)]:
+        rep = construction_demo(q, p, 0.5, seed=seed, budget=0)
+        code = CyclicCode.from_gen(rep.n, q, rep.gen)
+        assert code.dim == rep.dim == rep.n - p * rep.s_prime
+        # budget 0 is a budget, not the default: no exhaustive enumeration
+        assert rep.distance == min_distance(code, 0) and rep.distance.method == "bz"
+
+
 def test_enumeration_refuses_huge_lattices():
     # q = 32 is 1 mod 31: all singleton cosets, 2^31 divisors
     with pytest.raises(DomainError):
@@ -212,6 +249,62 @@ def test_ht_at_least_bch():
     for n, q in [(7, 2), (15, 2), (17, 2), (13, 3)]:
         for c in enumerate_codes(n, q):
             assert ht_bound(c.zeros, n) >= bch_bound(c.zeros, n)
+
+
+# ---------------------------------------------------------------------------
+# generator matrices
+
+_BASIS_CASES = ([(n, 2) for n in range(1, 32, 2)]
+                + [(n, q) for q in (3, 5, 7) for n in range(1, 21) if n % q])
+
+
+@functools.lru_cache(maxsize=None)
+def _codes(n, q):
+    return enumerate_codes(n, q)
+
+
+@PROPERTY
+@given(st.sampled_from(_BASIS_CASES), st.integers(0, 10**6))
+def test_systematic_rows_are_the_systematic_basis(case, pick):
+    # identity on columns 0..k-1 and every row a multiple of g: together
+    # these fix the unique systematic basis, so no elimination oracle is needed
+    n, q = case
+    codes = _codes(n, q)
+    code = codes[pick % len(codes)]
+    k = code.dim
+    rows = _systematic_rows(code)
+    if q == 2:
+        rows = [list(to_digits(r, 2, n)) for r in rows]
+    else:
+        assert rows.shape == (k, n)
+        rows = [[int(c) for c in r] for r in rows]
+    assert len(rows) == k
+    for i, row in enumerate(rows):
+        assert row[:k] == [int(j == i) for j in range(k)]
+        assert (FPoly(code.field, row) % code.gen).is_zero()
+
+
+def _multiplier_reps_oracle(n, q):
+    """The first unit met in each coset of <q> in (Z/n)*, scanning upwards."""
+    reps, seen = [], set()
+    for u in range(1, max(n, 2)):
+        if math.gcd(u, n) != 1 or u in seen:
+            continue
+        reps.append(u)
+        while u not in seen:
+            seen.add(u)
+            u = u * q % n
+    return reps
+
+
+def test_multiplier_reps_against_the_scan():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27):
+        for n in range(2, 200):
+            if math.gcd(n, q) == 1:
+                assert _multiplier_reps(n, q) == _multiplier_reps_oracle(n, q), (n, q)
+    # n = 1: the one coset is {0}; every multiplier gives the same key
+    assert _multiplier_reps(1, 2) == [0]
+    assert _orbit_key((0,), 1, [0]) == _orbit_key((0,), 1, [1])
 
 
 # ---------------------------------------------------------------------------

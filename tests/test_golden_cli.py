@@ -35,6 +35,8 @@ COMMANDS = [
     ["mindist", "--n", "31", "--q", "2", "--gen", "10001110001"],
     ["mindist", "--n", "43", "--q", "2", "--gen", "110100010001011"],
     ["mindist", "--n", "13", "--q", "3", "--gen", "2111"],
+    ["mindist", "--n", "26", "--q", "3", "--gen", "10022211"],
+    ["mindist", "--n", "23", "--q", "2", "--gen", "110001110101", "--budget", "100"],
     ["ms", "--q", "2", "--n", "7", "--word", "1111111"],
     ["ms", "--q", "2", "--word", "110100000000000"],
     ["ms", "--q", "3", "--word", "12010000"],

@@ -48,6 +48,33 @@ def test_roundtrip_random_words(n, q):
         assert ms_inverse(msv) == w
 
 
+def _inverse_by_sums(msv, zeta):
+    """f_j = n^-1 * sum_i F_i zeta^(-ij), one power per term."""
+    ctx, n = msv.ctx, msv.n
+    zinv = ctx.inv(zeta)
+    n_inv = ctx.embed_prime(pow(n % ctx.char, ctx.char - 2, ctx.char))
+    word = []
+    for j in range(n):
+        acc = ctx.zero()
+        for i in range(1, n + 1):
+            acc = ctx.add(acc, ctx.mul(msv.value(i), ctx.pow(zinv, i * j)))
+        word.append(ctx.scalar_code(ctx.mul(acc, n_inv)))
+    return tuple(word)
+
+
+@pytest.mark.parametrize("n,q", [(7, 2), (15, 2), (8, 3), (5, 4), (8, 9)])
+def test_inverse_matches_the_defining_sums(n, q):
+    # the inverse evaluates the reindexed vector at the powers of zeta^-1
+    rng = random.Random(n * 10 + q)
+    ctx = splitting_ctx(q, n)
+    root = nth_root_of_unity(ctx, n)
+    for b in [u for u in range(1, n) if math.gcd(u, n) == 1][:3]:
+        zeta = ctx.pow(root, b)
+        w = tuple(rng.randrange(q) for _ in range(n))
+        msv = ms_forward(w, q, zeta)
+        assert ms_inverse(msv, zeta) == _inverse_by_sums(msv, zeta) == w
+
+
 def test_inverse_rejects_tampered_vector():
     msv = ms_forward((1, 0, 1, 1, 0, 0, 0), 2)
     ctx = msv.ctx
