@@ -164,7 +164,7 @@ def cmd_ms(args):
         word = tuple(_ALPHABET.index(ch) for ch in args.word.strip().lower())
     except ValueError:
         raise DomainError(f"bad word {args.word!r}") from None
-    n = args.n or len(word)
+    n = len(word) if args.n is None else args.n
     if n != len(word):
         raise DomainError(f"word length {len(word)} != n = {n}")
     chk = naive_up_check(word, args.q)

@@ -8,10 +8,18 @@ multiplicative order in the same code order.  Two builds with the same
 parameters are therefore bit-identical, here and in any reimplementation
 that follows the same two rules.
 
+Products: a field of order up to 2^16 multiplies through exp/log tables of
+the primitive element.  The tables are built by doubling: with S the F_p
+matrix of y -> y*prim, the digit rows of prim^(2^k..2^(k+1)-1) are the rows
+of prim^(0..2^k-1) times S^(2^k).  A larger field multiplies bitmasks by
+shift and XOR for p = 2; for odd p it convolves the two digit vectors and
+folds the high half back with a fixed matrix whose row i holds the digits
+of x^(deg+i) mod the modulus.
+
 Elements of F_{p^e} with e >= 2 appearing as *scalars* (e.g. polynomial
-coefficients) are also integer codes 0..q-1 under the same digit convention,
-with arithmetic delegated to small tables built from the canonical degree-e
-modulus.
+coefficients) are also integer codes 0..q-1 under the same digit convention.
+Their products and inverses are read off the exp/log tables of the context
+F_{p^e} itself, whose modulus is the same canonical degree-e polynomial.
 """
 
 from __future__ import annotations
@@ -158,37 +166,7 @@ def from_digits(digits, base: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the element product of FieldCtx for odd p, and of the F_{p^e} scalar
-# tables: digit tuples over F_p, lowest degree first, no trailing zeros.
-# Polynomials over F_q as such live in polyring; this product stays here
-# because it is the inner loop of every non-tabled field operation, where
-# building FPoly objects costs more than the arithmetic.
-
-
-def _pp_trim(c):
-    i = len(c)
-    while i and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _pp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = np.convolve(np.asarray(a, np.int64), np.asarray(b, np.int64)) % p
-    return _pp_trim(out.tolist())
-
-
-def _pp_rem(a, m, p):
-    # m monic
-    dm = len(m) - 1
-    arr = [x % p for x in a]
-    for i in range(len(arr) - 1, dm - 1, -1):
-        c = arr[i]
-        if c:
-            for j in range(dm + 1):
-                arr[i - dm + j] = (arr[i - dm + j] - c * m[j]) % p
-    return _pp_trim(arr[:dm])
+# the canonical modulus
 
 
 def _find_irreducible(p, d):
@@ -267,26 +245,16 @@ def _scalar_tables(p, e):
     q = p**e
     if q > _SCALAR_CAP:
         raise DomainError(f"prime-power scalar field F_{q} beyond table cap {_SCALAR_CAP}")
-    mod = _find_irreducible(p, e)
-    digits = [to_digits(c, p, e) for c in range(q)]
-    add = tuple(
-        tuple(from_digits([(x + y) % p for x, y in zip(da, db)], p) for db in digits)
-        for da in digits
-    )
-    trimmed = [_pp_trim(d) for d in digits]
-    mul = tuple(
-        tuple(from_digits(_pp_rem(_pp_mul(da, db, p), mod, p), p) for db in trimmed)
-        for da in trimmed
-    )
-    inv = [0] * q
-    for a in range(1, q):
-        for b in range(1, q):
-            if mul[a][b] == 1:
-                inv[a] = b
-                break
-        else:
-            raise InternalError(f"no inverse for {a} in F_{q}")
-    return add, mul, tuple(inv)
+    # F_{p^e} as a field of its own has the same canonical modulus, so its
+    # exp/log tables give the products and inverses
+    ctx = field_ctx(p, 1, e)
+    exp, log = np.array(ctx._exp), np.array(ctx._log)
+    mul = exp[log[:, None] + log[None, :]]
+    mul[0, :] = mul[:, 0] = 0
+    inv = [0] + exp[q - 1 - log[1:]].tolist()
+    digits = [np.arange(q) // p**j % p for j in range(e)]
+    add = sum((d[:, None] + d) % p * p**j for j, d in enumerate(digits))
+    return (tuple(map(tuple, add.tolist())), tuple(map(tuple, mul.tolist())), tuple(inv))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +329,14 @@ class FieldCtx:
         mod = _find_irreducible(p, deg)
         self._mod_digits = mod
         self._mod_int = from_digits(mod, 2) if p == 2 else None
+        if p != 2:
+            # row i: the digits of x^(deg+i) mod the modulus
+            fold = np.empty((deg - 1, deg), np.int64)
+            row = x_deg = -np.array(mod[:deg], np.int64) % p
+            for i in range(deg - 1):
+                fold[i] = row
+                row = (np.concatenate(([0], row[:-1])) + row[-1] * x_deg) % p
+            self._fold = fold
         self._exp = None
         self._log = None
         self._embed_map = None
@@ -433,9 +409,9 @@ class FieldCtx:
                 r ^= y << ((x & -x).bit_length() - 1)
                 x &= x - 1
             return FFElem(self._reduce2(r), self)
-        prod = _pp_rem(_pp_mul(_pp_trim(a.val), _pp_trim(b.val), self.char),
-                       self._mod_digits, self.char)
-        return FFElem(prod + (0,) * (self.deg - len(prod)), self)
+        p, deg = self.char, self.deg
+        c = np.convolve(a.val, b.val) % p
+        return FFElem(tuple(((c[:deg] + c[deg:] @ self._fold) % p).tolist()), self)
 
     def _reduce2(self, r):
         m, d = self._mod_int, self.deg
@@ -503,19 +479,28 @@ class FieldCtx:
         raise InternalError("no primitive element found; field construction is broken")
 
     def _build_tables(self, prim):
-        g = self.group_order
-        exp = [0] * (2 * g)
-        log = [0] * self.order
-        x = self.one()
-        for i in range(g):
-            exp[i] = x.code
-            exp[i + g] = x.code
-            log[x.code] = i
-            x = self.mul(x, prim)
-        if x.code != 1:
+        # Row i of `powers` holds the digits of prim^i.  y -> y*prim is the
+        # F_p-linear map `step`, so the rows 2^k..2^(k+1)-1 are the rows
+        # 0..2^k-1 times step^(2^k).  The dtype is the narrowest that holds a
+        # row times a matrix before the reduction mod p.
+        p, d, g = self.char, self.deg, self.group_order
+        dtype = np.min_scalar_type(d * (p - 1) ** 2)
+        step = np.array([self.mul(self.from_code(p**j), prim).digits for j in range(d)], dtype)
+        powers = np.zeros((g, d), dtype)
+        powers[0, 0] = 1
+        done, jump = 1, step
+        while done < g:
+            k = min(done, g - done)
+            powers[done:done + k] = powers[:k] @ jump % p
+            done += k
+            jump = jump @ jump % p
+        if (powers[-1] @ step % p).tolist() != [1] + [0] * (d - 1):
             raise InternalError("primitive element order mismatch while building tables")
-        self._exp = exp
-        self._log = log
+        codes = np.einsum("ij,j->i", powers, p ** np.arange(d))  # no int64 copy of powers
+        log = np.zeros(self.order, np.int64)
+        log[codes] = np.arange(g)
+        self._exp = codes.tolist() * 2
+        self._log = log.tolist()
 
     def _build_embedding(self):
         # image of the canonical F_q generator: the smallest root (by code)

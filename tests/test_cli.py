@@ -309,6 +309,13 @@ def test_table_bad_primes_exit_2(capsys):
     assert captured.out == "" and "--primes" in captured.err and "'7,x'" in captured.err
 
 
+@pytest.mark.parametrize("n", ["0", "3"])
+def test_ms_n_must_be_the_word_length(n, capsys):
+    assert main(["ms", "--word", "12", "--q", "3", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"word length 2 != n = {n}" in captured.err
+
+
 @pytest.mark.parametrize("gen", ["0", "00"])
 def test_mindist_zero_generator_exit_2(gen, capsys):
     assert main(["mindist", "--n", "7", "--q", "2", "--gen", gen]) == 2

@@ -1,12 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from uplab.gf import (DomainError, FieldCtx, PrimePower, _find_irreducible, factorize,
-                      field_ctx, from_digits, is_prime, is_primitive, mult_order,
+from uplab.gf import (DomainError, FieldCtx, PrimePower, _find_irreducible, _scalar_tables,
+                      factorize, field_ctx, from_digits, is_prime, is_primitive, mult_order,
                       nth_root_of_unity, ord_mod, splitting_ctx, to_digits)
+from uplab.polyring import FPoly
 
 
 def test_is_prime_small():
@@ -203,3 +205,140 @@ def test_digit_codec_order():
     assert to_digits(11, 3, 4) == (2, 0, 1, 0)
     assert from_digits((2, 0, 1), 3) == 11
     assert from_digits((), 5) == 0
+
+
+# Canonical contexts, pinned so that no change to the products or the tables
+# can move them: (p, e, m) -> modulus code, primitive code, repr; and for
+# e >= 2 the embedded code of each base-field scalar 0..q-1.  Tabled and
+# untabled fields, p = 2 and odd p.
+CANONICAL_CONTEXTS = {
+    (2, 1, 4): (19, 2, "FieldCtx(q=2, m=4, modulus_code=19)"),
+    (2, 1, 8): (283, 3, "FieldCtx(q=2, m=8, modulus_code=283)"),
+    (2, 1, 14): (16417, 7, "FieldCtx(q=2, m=14, modulus_code=16417)"),
+    (2, 1, 20): (1048585, 2, "FieldCtx(q=2, m=20, modulus_code=1048585)"),
+    (2, 1, 33): (8589934667, 3, "FieldCtx(q=2, m=33, modulus_code=8589934667)"),
+    (3, 1, 6): (734, 3, "FieldCtx(q=3, m=6, modulus_code=734)"),
+    (3, 1, 10): (59068, 34, "FieldCtx(q=3, m=10, modulus_code=59068)"),
+    (3, 1, 16): (43046758, 4, "FieldCtx(q=3, m=16, modulus_code=43046758)"),
+    (3, 1, 30): (205891132094654, 3, "FieldCtx(q=3, m=30, modulus_code=205891132094654)"),
+    (5, 1, 6): (15632, 5, "FieldCtx(q=5, m=6, modulus_code=15632)"),
+    (5, 1, 16): (152587890627, 6, "FieldCtx(q=5, m=16, modulus_code=152587890627)"),
+    (7, 1, 3): (345, 22, "FieldCtx(q=7, m=3, modulus_code=345)"),
+    (7, 1, 12): (13841287259, 8, "FieldCtx(q=7, m=12, modulus_code=13841287259)"),
+    (11, 1, 2): (122, 15, "FieldCtx(q=11, m=2, modulus_code=122)"),
+    (13, 1, 4): (28563, 17, "FieldCtx(q=13, m=4, modulus_code=28563)"),
+    (13, 1, 10): (137858492040, 23, "FieldCtx(q=13, m=10, modulus_code=137858492040)"),
+    (2, 2, 3): (67, 2, "FieldCtx(q=4, m=3, modulus_code=67)"),
+    (2, 2, 9): (262153, 10, "FieldCtx(q=4, m=9, modulus_code=262153)"),
+    (3, 2, 2): (86, 3, "FieldCtx(q=9, m=2, modulus_code=86)"),
+    (3, 2, 9): (387420523, 4, "FieldCtx(q=9, m=9, modulus_code=387420523)"),
+    (5, 2, 3): (15632, 5, "FieldCtx(q=25, m=3, modulus_code=15632)"),
+    (5, 2, 8): (152587890627, 6, "FieldCtx(q=25, m=8, modulus_code=152587890627)"),
+    (3, 3, 2): (734, 3, "FieldCtx(q=27, m=2, modulus_code=734)"),
+    (3, 3, 5): (14348918, 5, "FieldCtx(q=27, m=5, modulus_code=14348918)"),
+}
+
+CANONICAL_EMBEDDINGS = {
+    (2, 2, 3):
+        (0, 1, 58, 59),
+    (2, 2, 9):
+        (0, 1, 37384, 37385),
+    (3, 2, 2):
+        (0, 1, 2, 42, 43, 44, 75, 76, 77),
+    (3, 2, 9):
+        (0, 1, 2, 2799995, 2799993, 2799994, 3821146, 3821147, 3821145),
+    (5, 2, 3):
+        (0, 1, 2, 3, 4, 8840, 8841, 8842, 8843, 8844, 14405, 14406, 14407, 14408, 14409, 4495,
+         4496, 4497, 4498, 4499, 10060, 10061, 10062, 10063, 10064),
+    (5, 2, 8):
+        (0, 1, 2, 3, 4, 390625, 390626, 390627, 390628, 390629, 781250, 781251, 781252, 781253,
+         781254, 1171875, 1171876, 1171877, 1171878, 1171879, 1562500, 1562501, 1562502,
+         1562503, 1562504),
+    (3, 3, 2):
+        (0, 1, 2, 144, 145, 146, 207, 208, 209, 381, 382, 383, 444, 445, 446, 264, 265, 266,
+         681, 682, 683, 501, 502, 503, 645, 646, 647),
+    (3, 3, 5):
+        (0, 1, 2, 365778, 365779, 365780, 192744, 192745, 192746, 4564990, 4564991, 4564989,
+         4372246, 4372247, 4372245, 4730653, 4730654, 4730652, 2548217, 2548215, 2548216,
+         2375183, 2375181, 2375182, 2189810, 2189808, 2189809),
+}
+
+
+@pytest.mark.parametrize("pem", list(CANONICAL_CONTEXTS))
+def test_canonical_context_pins(pem):
+    ctx = field_ctx(*pem)
+    mod, prim, text = CANONICAL_CONTEXTS[pem]
+    assert from_digits(ctx._mod_digits, pem[0]) == mod
+    assert ctx.primitive_elt.code == prim
+    assert repr(ctx) == text
+    if pem in CANONICAL_EMBEDDINGS:
+        q = pem[0] ** pem[1]
+        assert tuple(ctx.embed_scalar(c).code for c in range(q)) == CANONICAL_EMBEDDINGS[pem]
+
+
+# Oracles for the field products: FPoly multiplication and remainder over F_p.
+
+
+def _fpoly_product(p, a, b, mod):
+    """a*b mod `mod` over F_p through FPoly, as deg(mod) digits, lowest first."""
+    field = PrimePower.make(p)
+    return ((FPoly(field, a) * FPoly(field, b)) % FPoly(field, mod)).padded(len(mod) - 1)
+
+
+_UNTABLED_ODD = ((3, 16), (5, 16), (3, 30), (7, 12), (13, 10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_UNTABLED_ODD).flatmap(
+    lambda pm: st.tuples(st.just(pm), st.integers(0, pm[0] ** pm[1] - 1),
+                         st.integers(0, pm[0] ** pm[1] - 1))))
+@example(((13, 10), 13**10 - 1, 13**10 - 1))
+@example(((3, 30), 3**30 - 1, 3**29))
+def test_untabled_odd_product_is_the_fpoly_product(case):
+    (p, m), a, b = case
+    ctx = field_ctx(p, 1, m)
+    assert ctx._exp is None
+    x, y = ctx.from_code(a), ctx.from_code(b)
+    mod = ctx.modulus
+    want = (FPoly(mod.field, x.digits) * FPoly(mod.field, y.digits)) % mod
+    assert ctx.mul(x, y).digits == want.padded(ctx.deg)
+
+
+_TABLED = [(p, d) for p in (2, 3, 5, 7, 11, 13) for d in range(1, 17) if p**d <= 1 << 16]
+
+
+@pytest.mark.parametrize("p,d", _TABLED)
+def test_exp_table_steps_by_the_primitive_element(p, d):
+    ctx = field_ctx(p, 1, d)
+    g, exp, log = ctx.group_order, ctx._exp, ctx._log
+    assert len(exp) == 2 * g and exp[:g] == exp[g:] and exp[0] == 1
+    assert all(log[c] == i for i, c in enumerate(exp[:g]))
+    mod, prim = ctx._mod_digits, ctx.primitive_elt.digits
+    # y -> y*prim is F_p-linear; its rows x^j*prim are FPoly products
+    step = np.array([_fpoly_product(p, (0,) * j + (1,), prim, mod) for j in range(d)])
+    weights = p ** np.arange(d)
+    digits = np.array(exp[:g])[:, None] // weights % p
+    assert (digits @ step % p @ weights).tolist() == exp[1:g + 1]
+    for i in random.Random(g).sample(range(g), min(g, 40)):
+        assert exp[i + 1] == from_digits(_fpoly_product(p, to_digits(exp[i], p, d), prim, mod), p)
+
+
+_SCALAR_FIELDS = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19) for e in range(2, 10)
+                  if p**e <= 512]
+
+
+@pytest.mark.parametrize("p,e", _SCALAR_FIELDS)
+def test_scalar_tables_are_fpoly_products(p, e):
+    q = p**e
+    add, mul, inv = _scalar_tables(p, e)
+    mod = _find_irreducible(p, e)
+    digits = [to_digits(c, p, e) for c in range(q)]
+    rows = range(q) if q <= 128 else [0, 1, q - 1] + random.Random(q).sample(range(2, q - 1), 16)
+    for a in rows:
+        assert list(mul[a]) == [from_digits(_fpoly_product(p, digits[a], db, mod), p)
+                                for db in digits]
+    for a in range(1, q):
+        assert _fpoly_product(p, digits[a], digits[inv[a]], mod) == digits[1]
+    for a in range(q):
+        assert list(add[a]) == [from_digits([(x + y) % p for x, y in zip(digits[a], db)], p)
+                                for db in digits]
