@@ -89,14 +89,10 @@ def _max_free(n, masks, seed_witness=()):
     on |S| + remaining <= best.  By translation invariance the search fixes
     0 in the set; a prior witness may seed the initial bound.
     """
-    full = (1 << n) - 1
-    by_v = [[] for _ in range(n)]
+    # adding v can only complete a pattern whose highest point is v
+    by_top = [[] for _ in range(n)]
     for mk in masks:
-        m = mk
-        while m:
-            v = (m & -m).bit_length() - 1
-            by_v[v].append(mk)
-            m &= m - 1
+        by_top[mk.bit_length() - 1].append(mk)
     if any(mk.bit_count() <= 1 for mk in masks):
         # single points are patterns; only the empty set avoids them
         return 0, (), 1
@@ -122,7 +118,7 @@ def _max_free(n, masks, seed_witness=()):
             return
         nxt = smask | (1 << v)
         ok = True
-        for mk in by_v[v]:
+        for mk in by_top[v]:
             if mk & ~nxt == 0:
                 ok = False
                 break
