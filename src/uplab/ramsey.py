@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .cyclic import DEFAULT_BUDGET, mu
-from .gf import DomainError, InternalError
+from .gf import DomainError, InternalError, is_prime
 
 R_CAP = 40     # branch-and-bound cap for plain progressions
 GRID_CAP = 24  # heavier pattern detection
@@ -82,64 +82,126 @@ def _grid_masks(delta, s, n):
     return sorted(masks), collapsed
 
 
-def _max_free(n, masks, seed_witness=()):
+class _Capped(Exception):
+    """The search found a set as large as its cap: nothing larger exists."""
+
+
+def _max_free(n, masks, seed_witness=(), *, room=None, cap=None, dilate=False):
     """Branch and bound for the largest subset containing no mask.
 
-    Extends residues in increasing order, prunes on pattern completion and
-    on |S| + remaining <= best.  By translation invariance the search fixes
-    0 in the set; a prior witness may seed the initial bound.
+    Extends residues in increasing order, each one taken into the set before
+    it is left out, and keeps a set when it beats the best so far: the
+    witness is the first largest set in that order.  A prior witness may seed
+    the initial best.
+
+    - Symmetry.  By translation invariance the search fixes 0 in the set.
+      With `dilate` (n prime and the patterns closed under x -> ux, as both
+      kinds are), a dilation by x^-1 maps a second element x to 1, so unless
+      {0, 1} is itself a pattern the search starts from {0, 1} at v = 2.
+      Those sets come first in the order above, so the witness is the same.
+    - Node bound.  The undecided residues v..n-1 form an interval, and at
+      most room[n - v] of them can join the set; `room` defaults to the
+      interval's length.  szemeredi_r passes r_m([L]), the integer bound.
+    - Cap.  The search stops once the best set reaches `cap`, a proven
+      upper bound on the answer.
     """
+    if any(mk.bit_count() <= 1 for mk in masks):
+        # single points are patterns; only the empty set avoids them
+        return 0, (), 1
     # adding v can only complete a pattern whose highest point is v
     by_top = [[] for _ in range(n)]
     for mk in masks:
         by_top[mk.bit_length() - 1].append(mk)
-    if any(mk.bit_count() <= 1 for mk in masks):
-        # single points are patterns; only the empty set avoids them
-        return 0, (), 1
+    if room is None:
+        room = range(n + 1)
+    if cap is None:
+        cap = n
 
-    best = 0
-    best_mask = 0
+    best, best_mask = 1, 1
     if seed_witness:
         shift = min(seed_witness) % n
         cand = 0
         for x in seed_witness:
             cand |= 1 << ((x - shift) % n)
         if not any(mk & ~cand == 0 for mk in masks):
-            best = cand.bit_count()
-            best_mask = cand
+            best, best_mask = cand.bit_count(), cand
     nodes = 0
 
     def extend(smask, size, v):
+        # one node per pass; leaving v out is the next pass
         nonlocal best, best_mask, nodes
-        nodes += 1
         if size > best:
             best, best_mask = size, smask
-        if v == n or size + (n - v) <= best:
-            return
-        nxt = smask | (1 << v)
-        ok = True
-        for mk in by_top[v]:
-            if mk & ~nxt == 0:
-                ok = False
-                break
-        if ok:
-            extend(nxt, size + 1, v + 1)
-        extend(smask, size, v + 1)
+            if size >= cap:
+                nodes += 1
+                raise _Capped
+        while True:
+            nodes += 1
+            if v == n or size + room[n - v] <= best:
+                return
+            nxt = smask | (1 << v)
+            outside = ~nxt
+            for mk in by_top[v]:
+                if not mk & outside:
+                    break
+            else:
+                extend(nxt, size + 1, v + 1)
+            v += 1
 
-    # 0 is forced into the set: any nonempty pattern-free set translates to one
-    extend(1, 1, 1)
+    if best < cap:
+        try:
+            if dilate and n > 1 and not any(mk & ~3 == 0 for mk in masks):
+                extend(3, 2, 2)
+            else:
+                # 0 is forced into the set: any nonempty pattern-free set translates to one
+                extend(1, 1, 1)
+        except _Capped:
+            pass
     witness = tuple(i for i in range(n) if best_mask >> i & 1)
     return best, witness, nodes
 
 
+_INTERVAL_R = {}  # m -> [[r_m([0]), r_m([1]), ...], the witness at the last length]
+
+
+def _interval_r(m, length):
+    """[r_m([L]) for L = 0..length], memoised per m: the largest subsets of
+    {0, ..., L-1} holding no m-term progression of integers.
+
+    Each L runs _max_free on the integer progressions of [L], seeded by the
+    witness at L - 1, capped at r_m([L - 1]) + 1 and pruned on the shorter
+    lengths of the table itself.
+    """
+    table = _INTERVAL_R.setdefault(m, [[0], ()])
+    values = table[0]
+    while len(values) <= length:
+        L = len(values)
+        masks = {sum(1 << (a + k * b) for k in range(m))
+                 for b in range(1, L + 1) for a in range(L - (m - 1) * b)}
+        value, table[1], _ = _max_free(L, masks, table[1], room=values, cap=values[-1] + 1)
+        values.append(value)
+    return values
+
+
 def szemeredi_r(m: int, n: int, *, seed_witness=()) -> RamseyResult:
-    """Largest size of a subset of Z/nZ without a length-m progression."""
+    """Largest size of a subset of Z/nZ without a length-m progression.
+
+    An integer progression inside an interval of residues is one mod n, so
+    at most r_m([L]) of L undecided residues join the set.  At prime n each
+    of the n(n - 1) progressions of length L meets the set in at most
+    r_m([L]) points and every point lies on L(n - 1) of them, which caps
+    the answer at n*r_m([L])//L.
+    """
     if not 1 <= m <= n:
         raise DomainError("need 1 <= m <= n")
     if n > R_CAP:
         raise DomainError(f"n = {n} beyond the search cap {R_CAP}")
     masks, collapsed = _ap_masks(m, n)
-    value, witness, nodes = _max_free(n, masks, seed_witness)
+    intervals = _interval_r(m, n)
+    prime = is_prime(n)
+    cap = min(n * intervals[L] // L for L in range(1, n + 1)) if prime else None
+    value, witness, nodes = _max_free(n, masks, seed_witness, room=intervals,
+                                      cap=cap, dilate=prime)
     return RamseyResult("ap", n, (m,), value, witness, nodes, collapsed)
 
 
@@ -150,7 +212,7 @@ def szemeredi_grid(delta: int, s: int, n: int, *, seed_witness=()) -> RamseyResu
     if n > GRID_CAP:
         raise DomainError(f"n = {n} beyond the grid search cap {GRID_CAP}")
     masks, collapsed = _grid_masks(delta, s, n)
-    value, witness, nodes = _max_free(n, masks, seed_witness)
+    value, witness, nodes = _max_free(n, masks, seed_witness, dilate=is_prime(n))
     return RamseyResult("grid", n, (delta, s), value, witness, nodes, collapsed)
 
 
@@ -158,11 +220,15 @@ def ap_scan_bound(n: int, *, with_rows: bool = False):
     """min over 1 <= m <= n of m + n - r_m(n); no primality assumed.
 
     Witnesses from one m seed the next search (r_m is nondecreasing in m).
+    Every bound m + n - r_m(n) is at least m, so without rows the scan stops
+    once m reaches the best bound so far; with rows it solves every m.
     """
     rows = []
     best = None
     witness = ()
     for m in range(1, n + 1):
+        if not with_rows and best is not None and m >= best:
+            break
         res = szemeredi_r(m, n, seed_witness=witness)
         witness = res.witness
         bound = m + n - res.value
@@ -174,8 +240,6 @@ def ap_scan_bound(n: int, *, with_rows: bool = False):
 
 def prop_ram_lower(p: int, q: int, budget: int = DEFAULT_BUDGET) -> int:
     """The progression-scan lower bound on mu at prime p, verified against it."""
-    from .gf import is_prime
-
     if not is_prime(p):
         raise DomainError(f"{p} is not prime; the bound can fail off primes")
     if math.gcd(p, q) != 1:
@@ -203,8 +267,6 @@ class GridBoundReport:
 def prop_ram_grid_lower(p: int, q: int, budget: int = DEFAULT_BUDGET) -> GridBoundReport:
     """The grid-pattern lower bound min(delta + s - 1 + p - r_{delta,s}(p));
     incomparable a priori with the plain scan bound, so both are reported."""
-    from .gf import is_prime
-
     if not is_prime(p):
         raise DomainError(f"{p} is not prime; the bound can fail off primes")
     if math.gcd(p, q) != 1:
