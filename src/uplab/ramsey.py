@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclic import DEFAULT_BUDGET, mu
 from .gf import DomainError, InternalError, is_prime
@@ -161,26 +162,23 @@ def _max_free(n, masks, seed_witness=(), *, room=None, cap=None, dilate=False):
     return best, witness, nodes
 
 
-_INTERVAL_R = {}  # m -> [[r_m([0]), r_m([1]), ...], the witness at the last length]
-
-
+@lru_cache(maxsize=None)
 def _interval_r(m, length):
-    """[r_m([L]) for L = 0..length], memoised per m: the largest subsets of
-    {0, ..., L-1} holding no m-term progression of integers.
+    """(r_m([length]), a witness): the largest subset of {0, ..., length - 1}
+    holding no m-term progression of integers.
 
-    Each L runs _max_free on the integer progressions of [L], seeded by the
-    witness at L - 1, capped at r_m([L - 1]) + 1 and pruned on the shorter
-    lengths of the table itself.
+    _max_free runs on the integer progressions, seeded by the witness at
+    length - 1, capped at r_m([length - 1]) + 1 and pruned on the shorter
+    lengths, since its undecided residues are again an interval.
     """
-    table = _INTERVAL_R.setdefault(m, [[0], ()])
-    values = table[0]
-    while len(values) <= length:
-        L = len(values)
-        masks = {sum(1 << (a + k * b) for k in range(m))
-                 for b in range(1, L + 1) for a in range(L - (m - 1) * b)}
-        value, table[1], _ = _max_free(L, masks, table[1], room=values, cap=values[-1] + 1)
-        values.append(value)
-    return values
+    if length == 0:
+        return 0, ()
+    prev, seed = _interval_r(m, length - 1)
+    room = [_interval_r(m, L)[0] for L in range(length)]
+    masks = {sum(1 << (a + k * b) for k in range(m))
+             for b in range(1, length + 1) for a in range(length - (m - 1) * b)}
+    value, witness, _ = _max_free(length, masks, seed, room=room, cap=prev + 1)
+    return value, witness
 
 
 def szemeredi_r(m: int, n: int, *, seed_witness=()) -> RamseyResult:
@@ -197,7 +195,7 @@ def szemeredi_r(m: int, n: int, *, seed_witness=()) -> RamseyResult:
     if n > R_CAP:
         raise DomainError(f"n = {n} beyond the search cap {R_CAP}")
     masks, collapsed = _ap_masks(m, n)
-    intervals = _interval_r(m, n)
+    intervals = [_interval_r(m, L)[0] for L in range(n + 1)]
     prime = is_prime(n)
     cap = min(n * intervals[L] // L for L in range(1, n + 1)) if prime else None
     value, witness, nodes = _max_free(n, masks, seed_witness, room=intervals,

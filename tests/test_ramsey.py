@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from uplab.gf import DomainError
-from uplab.ramsey import (ap_scan_bound, contains_ap, prop_ram_grid_lower,
-                          prop_ram_lower, szemeredi_grid, szemeredi_r)
+from uplab.ramsey import (_ap_masks, _grid_masks, _interval_r, ap_scan_bound, contains_ap,
+                          prop_ram_grid_lower, prop_ram_lower, szemeredi_grid, szemeredi_r)
 from uplab.cyclic import mu
 
 
@@ -131,6 +132,152 @@ def test_optimality_spot_check():
         res = szemeredi_r(m, n)
         oracle_best, _ = _ap_free_oracle(m, n)
         assert res.value == oracle_best
+
+
+# ---------------------------------------------------------------------------
+# the reference engine: _max_free before the top-point index, the dilation at
+# prime n, the interval bound and the cap, kept verbatim.  The engine must
+# reproduce its value, witness and collapsed flag; only `nodes` may differ.
+
+
+def _reference_max_free(n, masks, seed_witness=()):
+    """Branch and bound for the largest subset containing no mask.
+
+    Extends residues in increasing order, prunes on pattern completion and
+    on |S| + remaining <= best.  By translation invariance the search fixes
+    0 in the set; a prior witness may seed the initial bound.
+    """
+    full = (1 << n) - 1
+    by_v = [[] for _ in range(n)]
+    for mk in masks:
+        m = mk
+        while m:
+            v = (m & -m).bit_length() - 1
+            by_v[v].append(mk)
+            m &= m - 1
+    if any(mk.bit_count() <= 1 for mk in masks):
+        # single points are patterns; only the empty set avoids them
+        return 0, (), 1
+
+    best = 0
+    best_mask = 0
+    if seed_witness:
+        shift = min(seed_witness) % n
+        cand = 0
+        for x in seed_witness:
+            cand |= 1 << ((x - shift) % n)
+        if not any(mk & ~cand == 0 for mk in masks):
+            best = cand.bit_count()
+            best_mask = cand
+    nodes = 0
+
+    def extend(smask, size, v):
+        nonlocal best, best_mask, nodes
+        nodes += 1
+        if size > best:
+            best, best_mask = size, smask
+        if v == n or size + (n - v) <= best:
+            return
+        nxt = smask | (1 << v)
+        ok = True
+        for mk in by_v[v]:
+            if mk & ~nxt == 0:
+                ok = False
+                break
+        if ok:
+            extend(nxt, size + 1, v + 1)
+        extend(smask, size, v + 1)
+
+    # 0 is forced into the set: any nonempty pattern-free set translates to one
+    extend(1, 1, 1)
+    witness = tuple(i for i in range(n) if best_mask >> i & 1)
+    return best, witness, nodes
+
+
+
+def _reference_ap(m, n, seed_witness=()):
+    masks, collapsed = _ap_masks(m, n)
+    value, witness, _ = _reference_max_free(n, masks, seed_witness)
+    return value, witness, collapsed
+
+
+def _reference_grid(delta, s, n):
+    masks, collapsed = _grid_masks(delta, s, n)
+    value, witness, _ = _reference_max_free(n, masks)
+    return value, witness, collapsed
+
+
+def _reference_scan(n):
+    # every m solved, each seeded by the witness of the one before
+    rows, best, witness = [], None, ()
+    for m in range(1, n + 1):
+        value, witness, _ = _reference_ap(m, n, witness)
+        bound = m + n - value
+        rows.append((m, value, bound))
+        best = bound if best is None else min(best, bound)
+    return best, rows
+
+
+def _check_ap_against_reference(n):
+    for m in range(1, n + 1):
+        res = szemeredi_r(m, n)
+        assert (res.value, res.witness, res.collapsed) == _reference_ap(m, n), (m, n)
+    best, rows = _reference_scan(n)
+    assert ap_scan_bound(n, with_rows=True) == (best, rows)
+    assert ap_scan_bound(n) == best
+
+
+def _check_grid_against_reference(n):
+    for delta in range(2, n + 1):
+        for s in range(0, n - delta + 1):
+            res = szemeredi_grid(delta, s, n)
+            assert (res.value, res.witness, res.collapsed) == _reference_grid(delta, s, n), \
+                (delta, s, n)
+
+
+@pytest.mark.parametrize("n", range(1, 20))
+def test_ap_and_scan_match_reference_engine(n):
+    _check_ap_against_reference(n)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_grid_matches_reference_engine(n):
+    _check_grid_against_reference(n)
+
+
+@pytest.mark.slow
+def test_reference_engine_to_23():
+    # about 20 s, most of it in the reference engine at n = 22 and 23
+    for n in range(20, 24):
+        _check_ap_against_reference(n)
+    for n in (12, 13):
+        _check_grid_against_reference(n)
+
+
+def test_scan_bound_23():
+    # computed by the reference engine (ap_scan_bound(23) before the pruning)
+    assert ap_scan_bound(23) == 15
+
+
+def _interval_sweep(length):
+    """{m: [r_m([L]) for L <= length]} for m <= length + 1, from the longest
+    integer progression in every subset of {0, ..., length - 1}."""
+    subsets = np.arange(1 << length)
+    longest = (subsets > 0).astype(np.int64)  # one point is a 1-term progression
+    for b in range(1, length):
+        for a in range(length - b):
+            mask = 1 << a
+            for k, x in enumerate(range(a + b, length, b), start=2):
+                mask |= 1 << x
+                longest = np.where(subsets & mask == mask, np.maximum(longest, k), longest)
+    sizes = np.bitwise_count(subsets)
+    return {m: [int(sizes[:1 << L][longest[:1 << L] < m].max()) for L in range(length + 1)]
+            for m in range(1, length + 2)}
+
+
+def test_interval_table_matches_subset_sweep():
+    for m, values in _interval_sweep(14).items():
+        assert [_interval_r(m, L)[0] for L in range(15)] == values, m
 
 
 # ---------------------------------------------------------------------------
