@@ -14,7 +14,8 @@ matrix of y -> y*prim, the digit rows of prim^(2^k..2^(k+1)-1) are the rows
 of prim^(0..2^k-1) times S^(2^k).  A larger field multiplies bitmasks by
 shift and XOR for p = 2; for odd p it convolves the two digit vectors and
 folds the high half back with a fixed matrix whose row i holds the digits
-of x^(deg+i) mod the modulus.
+of x^(deg+i) mod the modulus.  Those digit products are int64, so an odd-p
+field needs deg*(p-1)^2 < 2^63 and is refused otherwise.
 
 Elements of F_{p^e} with e >= 2 appearing as *scalars* (e.g. polynomial
 coefficients) are also integer codes 0..q-1 under the same digit convention.
@@ -31,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 FIELD_ORDER_CAP = 1 << 64  # contexts with p^(e*m) beyond this are refused
+_DIGIT_PRODUCT_CAP = 1 << 63  # odd p: deg*(p-1)^2 must stay below, as in int64
 _TABLE_CAP = 1 << 16       # exp/log tables built for fields up to this order
 _SCALAR_CAP = 1 << 9       # prime-power scalar fields get full op tables
 
@@ -319,6 +321,10 @@ class FieldCtx:
         order = p**deg
         if order >= FIELD_ORDER_CAP:
             raise DomainError(f"field order {base.q}^{ext_degree} exceeds cap 2^64")
+        if p != 2 and deg * (p - 1) ** 2 >= _DIGIT_PRODUCT_CAP:
+            # a digit convolution sums deg products of two digits below p
+            raise DomainError(f"p = {p}, degree {deg}: deg*(p-1)^2 reaches 2^63, "
+                              "beyond the int64 digit products of odd characteristic")
         self.base = base
         self.ext_degree = ext_degree
         self.char = p

@@ -304,7 +304,28 @@ def test_untabled_odd_product_is_the_fpoly_product(case):
     assert ctx.mul(x, y).digits == want.padded(ctx.deg)
 
 
-_TABLED = [(p, d) for p in (2, 3, 5, 7, 11, 13) for d in range(1, 17) if p**d <= 1 << 16]
+def test_field_past_int64_digit_products_is_refused():
+    # 2^32 + 15 is prime and (p - 1)^2 > 2^63: the product of p - 1 with
+    # itself overflowed int64 and came out 4294967087 instead of 1
+    with pytest.raises(DomainError, match="2\\^63"):
+        field_ctx(4294967311, 1, 1)
+    # the first prime past isqrt(2^63), and degree 2 at the first prime past 2^31
+    for p, m in ((3037000507, 1), (2147483659, 2)):
+        with pytest.raises(DomainError, match="2\\^63"):
+            field_ctx(p, 1, m)
+
+
+def test_largest_admitted_prime_squares_minus_one_to_one():
+    p = 3037000493  # the largest prime with (p - 1)^2 < 2^63
+    assert is_prime(p) and (p - 1) ** 2 < 1 << 63 <= (3037000507 - 1) ** 2
+    assert all(not is_prime(x) for x in range(p + 1, 3037000507))
+    ctx = field_ctx(p, 1, 1)
+    minus_one = ctx.from_code(p - 1)
+    assert ctx.mul(minus_one, minus_one) == ctx.one()
+    assert ctx.mul(minus_one, ctx.from_code(2)).code == p - 2
+
+
+_TABLED =[(p, d) for p in (2, 3, 5, 7, 11, 13) for d in range(1, 17) if p**d <= 1 << 16]
 
 
 @pytest.mark.parametrize("p,d", _TABLED)
