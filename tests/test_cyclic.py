@@ -10,9 +10,9 @@ from uplab.cli import Cache
 from uplab.asymptotics import construction_demo
 from uplab.gf import DomainError, PrimePower, to_digits
 from uplab.polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
-from uplab.cyclic import (CyclicCode, _bz_distance, _orbit_key, _multiplier_reps,
-                          _systematic_rows, bch_bound, enumerate_codes, ht_bound,
-                          min_distance, mu, strong_up_witness)
+from uplab.cyclic import (DEFAULT_BUDGET, CyclicCode, _bz_distance, _orbit_key,
+                          _multiplier_reps, _systematic_rows, bch_bound, enumerate_codes,
+                          ht_bound, min_distance, mu, strong_up_witness)
 
 # deterministic property tests that leave no example database behind
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -507,6 +507,57 @@ def test_mu_cache_reuse():
     assert again.mu == first.mu
     reused = [r for c, r in again.per_divisor if cache.get(c) is not None]
     assert reused and all(r.work == 0 for r in reused)
+
+
+# q^n <= DEFAULT_BUDGET at each of these lengths, so every code, whatever its
+# dimension, gets the exhaustive kernel and an exact distance: a cached
+# result is the one a fresh computation gives, with work 0
+_CACHE_CASES = [(7, 2), (9, 2), (15, 2), (17, 2), (21, 2), (23, 2),
+                (8, 3), (10, 3), (11, 3), (13, 3), (6, 5), (5, 4)]
+
+
+def _mu_summary(rec):
+    return (rec.mu_lower, rec.mu_upper, rec.exact, rec.witness.gen_string(),
+            [(c.gen_string(), r.lower, r.upper, r.method) for c, r in rec.per_divisor])
+
+
+@functools.lru_cache(maxsize=None)
+def _cacheless_mu(n, q):
+    return _mu_summary(mu(n, q))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from(_CACHE_CASES), st.none() | st.integers(0, 10**6)),
+                max_size=6),
+       st.sampled_from(_CACHE_CASES))
+def test_mu_records_do_not_depend_on_cache_history(earlier, case):
+    assert all(q**n <= DEFAULT_BUDGET for n, q in _CACHE_CASES)
+    cache = Cache(None)  # in memory only
+    for (n, q), pick in earlier:
+        if pick is None:
+            mu(n, q, cache=cache)
+        else:
+            codes = enumerate_codes(n, q)
+            min_distance(codes[pick % len(codes)], cache=cache)
+    n, q = case
+    cached = set(cache.entries)
+    rec = mu(n, q, cache=cache)
+    assert _mu_summary(rec) == _cacheless_mu(n, q)
+    for code, res in rec.per_divisor:
+        if (q, n, code.gen_string()) in cached:
+            assert res.work == 0
+
+
+@pytest.mark.slow
+def test_mu_103_exact_at_raised_budget():
+    # Pins that need more than the default budget live here.  This one runs
+    # about 7 minutes on one core, as `uplab mu --n 103 --q 2 --budget 8589934592`.
+    # The [103, 52, 19] quadratic-residue code (MacWilliams-Sloane, ch. 16) and
+    # its [103, 51, 20] even-weight subcode both give 71; the subcode comes
+    # first in (dim, generator) order.
+    rec = mu(103, 2, budget=1 << 33)
+    assert rec.exact and rec.mu == 71
+    assert rec.witness.dim == 51
 
 
 @pytest.mark.parametrize("n", [23, 71])
