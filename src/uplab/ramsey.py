@@ -151,7 +151,7 @@ def _max_free(n, masks, seed_witness=(), *, room=None, cap=None, dilate=False):
 
     if best < cap:
         try:
-            if dilate and n > 1 and not any(mk & ~3 == 0 for mk in masks):
+            if dilate and not any(mk & ~3 == 0 for mk in masks):
                 extend(3, 2, 2)
             else:
                 # 0 is forced into the set: any nonempty pattern-free set translates to one

@@ -194,7 +194,6 @@ def _reference_max_free(n, masks, seed_witness=()):
     return best, witness, nodes
 
 
-
 def _reference_ap(m, n, seed_witness=()):
     masks, collapsed = _ap_masks(m, n)
     value, witness, _ = _reference_max_free(n, masks, seed_witness)
