@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
 
 DEFAULT_BUDGET = 1 << 28
 _WORD = 0xFFFFFFFFFFFFFFFF
-_BLOCK = 1 << 20  # array entries per vectorised pass in the bounds and the deepening scans
+_BLOCK = 1 << 20  # array entries per vectorised pass in the deepening scans
+_PASS = 1 << 14  # array entries per vectorised pass in the designed-distance bounds
 _ENUM_CAP_T = 30  # refuse enumerating 2^t divisor lattices beyond this
 
 
@@ -62,7 +63,7 @@ class CyclicCode:
 
     @classmethod
     def from_gen(cls, n: int, q, gen) -> "CyclicCode":
-        field = q if isinstance(q, PrimePower) else PrimePower.from_int(q)
+        field = PrimePower.of(q)
         if isinstance(gen, str):
             gen = FPoly.from_string(field, gen)
         gen = gen.monic()
@@ -166,7 +167,7 @@ def enumerate_codes(n: int, q) -> list:
     The generator of a coset mask is that of the mask without its lowest bit
     times one factor.
     """
-    field = q if isinstance(q, PrimePower) else PrimePower.from_int(q)
+    field = PrimePower.of(q)
     part = cyclotomic_cosets(n, field.q)
     t = len(part.cosets)
     if t > _ENUM_CAP_T:
@@ -189,56 +190,69 @@ def enumerate_codes(n: int, q) -> list:
 
 def bch_bound(zeros, n: int) -> int:
     """Largest delta with delta-1 zeros in arithmetic progression, any stride
-    coprime to n.  Empty zero sets give 1.
-
-    Stride -b walks the runs of stride b backwards, so only b <= n/2 is
-    scanned, all strides in one numpy pass; each walk covers Z/n twice so
-    that runs wrapping around are caught."""
-    zs = set(zeros)
-    if not zs:
-        return 1
-    if len(zs) >= n:
-        return n + 1
-    member = np.zeros(n, bool)
-    member[list(zs)] = True
-    strides = np.array([b for b in range(1, n // 2 + 1) if math.gcd(b, n) == 1])
-    steps = np.arange(2 * n)
-    chunk = max(1, _BLOCK // (2 * n))  # strides per pass, to bound memory at large n
-    longest = 0
-    for lo in range(0, len(strides), chunk):
-        walks = member[np.outer(strides[lo:lo + chunk], steps) % n]
-        # run length at each step: steps since the last non-zero (-1 before any)
-        last_gap = np.maximum.accumulate(np.where(walks, -1, steps), axis=1)
-        longest = max(longest, int((steps - last_gap).max()))
-    return min(longest, n - 1) + 1
+    coprime to n.  Empty zero sets give 1."""
+    return _grid_bound(zeros, n, 1)
 
 
 def ht_bound(zeros, n: int) -> int:
     """Hartmann-Tzeng bound: the best delta+s over zero patterns
-    {a + k*b + r*c : k < delta-1, r <= s} with b, c coprime to n.
+    {a + k*b + r*c : k < delta-1, r <= s} with b, c coprime to n."""
+    return _grid_bound(zeros, n, n)
 
-    For a direction c and a height h let I_h be the set of x with x + r*c a
-    zero for every r < h.  A stride-b run of m elements of I_h is an m x h
-    grid of zeros, worth m + h, and bch_bound(I_h) is the longest such run
-    plus one; so the bound is the largest bch_bound(I_h) - 1 + h over c and
-    h = 1, 2, ... until I_h is empty.  h = 1 is the BCH value, the same for
-    every c.  Only c <= n/2 is scanned: I_h for -c is a translate of I_h for c.
-    """
+
+@lru_cache(maxsize=2)
+def _strides(n: int) -> tuple:
+    """The units b <= n/2, the steps 0..2n-1 and the walks b*s mod n of one
+    pass of strides; mu and the census ask for many codes of one length."""
+    units = np.array([b for b in range(1, n // 2 + 1) if math.gcd(b, n) == 1])
+    steps = np.arange(2 * n)
+    return units, steps, units[:max(1, _PASS // (2 * n)), None] * steps % n
+
+
+def _grid_bound(zeros, n: int, height: int) -> int:
+    """The best m + h, capped at n, over m x h grids of zeros
+    {a + k*b + r*c : k < m, r < h} with b, c coprime to n and h <= height: the
+    stride-b runs of m in I_h = {x : x + r*c is a zero for all r < h}, walked
+    twice round Z/n so that wrapping runs count.  b, c <= n/2 suffice: -b walks
+    the runs of b backwards, and I_h for -c is a translate of I_h for c."""
+    if n < 1:
+        raise DomainError(f"length {n} is not positive")
     zs = set(zeros)
     if not zs:
         return 1
+    if not 0 <= min(zs) <= max(zs) < n:
+        raise DomainError(f"zero {min(zs) if min(zs) < 0 else max(zs)} is not in 0..{n - 1}")
     if len(zs) >= n:
         return n + 1
-    best = bch_bound(zs, n)
-    for c in range(1, n // 2 + 1):
-        if math.gcd(c, n) != 1:
-            continue
-        rows, h = {x for x in zs if (x + c) % n in zs}, 2
-        while rows:
-            best = max(best, bch_bound(rows, n) - 1 + h)
-            rows = {x for x in rows if (x + h * c) % n in zs}
+    member = np.zeros(n, bool)
+    member[list(zs)] = True
+    units, steps, first = _strides(n)
+    row_pass = max(1, _PASS // first.size)
+
+    def longest(stack, heights):  # max(run + h) over the stacked rows and every stride
+        rows, tops = np.concatenate(stack), steps + np.array(heights)[:, None, None]
+        best = 0
+        for s in range(0, len(units), len(first)):
+            walk = units[s:s + len(first), None] * steps % n if s else first
+            # the run length at a step is the number of steps since the last non-zero
+            gaps = np.maximum.accumulate(np.where(rows.take(walk, axis=1), -1, steps), axis=2)
+            best = max(best, int((tops - gaps).max()))
+        return best
+
+    # rows I_h, built for row_pass directions at once, wait under I_1 for a pass
+    best, stack, heights = 0, [member[None]], [1]
+    for d in range(0, len(units) if height > 1 else 0, row_pass):
+        rows, c, h = member[None], units[d:d + row_pass, None], 2
+        while len(c) and h <= height:
+            rows = rows & member[(steps[:n] + (h - 1) * c) % n]
+            keep = rows.any(axis=1)
+            rows, c = rows[keep], c[keep]
+            if len(heights) + len(c) > row_pass:
+                best, stack, heights = max(best, longest(stack, heights)), [], []
+            stack.append(rows)
+            heights += [h] * len(c)
             h += 1
-    return min(best, n)
+    return min(max(best, longest(stack, heights)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +569,7 @@ def mu(n: int, q, budget: int = DEFAULT_BUDGET, *, cache=None) -> MuRecord:
     computation; it degrades to a bracket only if some needed distance came
     back inexact under the budget.
     """
-    field = q if isinstance(q, PrimePower) else PrimePower.from_int(q)
+    field = PrimePower.of(q)
     codes = enumerate_codes(n, field)
     order = sorted(range(len(codes)), key=lambda i: (codes[i].dim, codes[i].gen.coeffs))
     reps = _multiplier_reps(n, field.q)

@@ -215,6 +215,11 @@ class PrimePower:
         ((p, e),) = f.items()
         return cls(p, e, q)
 
+    @classmethod
+    def of(cls, q) -> "PrimePower":
+        """q itself if it is a PrimePower, else the prime power of the integer q."""
+        return q if isinstance(q, cls) else cls.from_int(q)
+
     # scalar arithmetic on codes
     def sadd(self, a, b):
         if self.e == 1:
@@ -478,7 +483,8 @@ class FieldCtx:
         return True
 
     def _find_primitive(self):
-        for code in range(1, self.order):
+        # the constants 1..p-1 have order dividing p - 1: none is primitive in an extension
+        for code in range(1 if self.deg == 1 else self.char, self.order):
             a = self.from_code(code)
             if self._order_is_full(a):
                 return a
@@ -555,7 +561,7 @@ def field_ctx(p: int, e: int, m: int) -> FieldCtx:
 
 def splitting_ctx(q, n: int) -> FieldCtx:
     """Smallest canonical extension of F_q containing the n-th roots of unity."""
-    base = q if isinstance(q, PrimePower) else PrimePower.from_int(q)
+    base = PrimePower.of(q)
     if n == 1:
         return field_ctx(base.p, base.e, 1)
     if math.gcd(n, base.q) != 1:

@@ -56,10 +56,6 @@ class MSVector:
         return [list(v.digits) for v in self.values]
 
 
-def _as_field(q) -> PrimePower:
-    return q if isinstance(q, PrimePower) else PrimePower.from_int(q)
-
-
 def _check_length(n: int, field: PrimePower):
     if n < 1:
         raise DomainError(f"word length {n} < 1")
@@ -87,7 +83,7 @@ def ms_forward(word, q, zeta: FFElem | None = None) -> MSVector:
     zeta defaults to the canonical root; passing zeta^b for gcd(b, n) = 1
     permutes the values and is how weight invariance is exercised.
     """
-    field = _as_field(q)
+    field = PrimePower.of(q)
     word = tuple(word)
     n = len(word)
     _check_length(n, field)
@@ -144,7 +140,7 @@ def naive_up_check(word, q) -> UPCheck:
 
 def transform_weight(word, q) -> int:
     """Weight of the transform, n - deg gcd(f, x^n - 1), computed over F_q."""
-    field = _as_field(q)
+    field = PrimePower.of(q)
     word = tuple(word)
     n = len(word)
     _check_length(n, field)
@@ -190,7 +186,7 @@ def naive_up_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
 
     Exhaustive mode covers all q^n - 1 words (capped); random mode samples.
     """
-    field = _as_field(q)
+    field = PrimePower.of(q)
     _check_length(n, field)
     if mode == "exhaustive":
         if field.q**n > _EXHAUSTIVE_CAP:

@@ -232,7 +232,7 @@ def factor_xn_minus_1(n: int, q):
     canonical n-th root of unity; the returned list is aligned with
     cyclotomic_cosets(n, q).cosets.
     """
-    field = q if isinstance(q, PrimePower) else PrimePower.from_int(q)
+    field = PrimePower.of(q)
     part = cyclotomic_cosets(n, field.q)
     ctx = splitting_ctx(field, n)
     zeta = nth_root_of_unity(ctx, n)

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,9 +11,9 @@ from uplab.cli import Cache
 from uplab.asymptotics import construction_demo
 from uplab.gf import DomainError, PrimePower, to_digits
 from uplab.polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
-from uplab.cyclic import (DEFAULT_BUDGET, CyclicCode, _bz_distance, _orbit_key,
-                          _multiplier_reps, _systematic_rows, bch_bound, enumerate_codes,
-                          ht_bound, min_distance, mu, strong_up_witness)
+from uplab.cyclic import (DEFAULT_BUDGET, _PASS, CyclicCode, _bz_distance, _orbit_key,
+                          _multiplier_reps, _strides, _systematic_rows, bch_bound,
+                          enumerate_codes, ht_bound, min_distance, mu, strong_up_witness)
 
 # deterministic property tests that leave no example database behind
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -249,6 +250,105 @@ def test_ht_at_least_bch():
     for n, q in [(7, 2), (15, 2), (17, 2), (13, 3)]:
         for c in enumerate_codes(n, q):
             assert ht_bound(c.zeros, n) >= bch_bound(c.zeros, n)
+
+
+# ---------------------------------------------------------------------------
+# the reference engine: bch_bound and ht_bound before they became one stacked
+# scan, kept verbatim (ht_bound called bch_bound once per direction and
+# height).  The bounds must return its values on every input below.
+
+_REFERENCE_BLOCK = 1 << 20
+
+
+def _reference_bch_bound(zeros, n: int) -> int:
+    """Largest delta with delta-1 zeros in arithmetic progression, any stride
+    coprime to n.  Empty zero sets give 1.
+
+    Stride -b walks the runs of stride b backwards, so only b <= n/2 is
+    scanned, all strides in one numpy pass; each walk covers Z/n twice so
+    that runs wrapping around are caught."""
+    zs = set(zeros)
+    if not zs:
+        return 1
+    if len(zs) >= n:
+        return n + 1
+    member = np.zeros(n, bool)
+    member[list(zs)] = True
+    strides = np.array([b for b in range(1, n // 2 + 1) if math.gcd(b, n) == 1])
+    steps = np.arange(2 * n)
+    chunk = max(1, _REFERENCE_BLOCK // (2 * n))  # strides per pass, to bound memory at large n
+    longest = 0
+    for lo in range(0, len(strides), chunk):
+        walks = member[np.outer(strides[lo:lo + chunk], steps) % n]
+        # run length at each step: steps since the last non-zero (-1 before any)
+        last_gap = np.maximum.accumulate(np.where(walks, -1, steps), axis=1)
+        longest = max(longest, int((steps - last_gap).max()))
+    return min(longest, n - 1) + 1
+
+
+def _reference_ht_bound(zeros, n: int) -> int:
+    """Hartmann-Tzeng bound: the best delta+s over zero patterns
+    {a + k*b + r*c : k < delta-1, r <= s} with b, c coprime to n.
+
+    For a direction c and a height h let I_h be the set of x with x + r*c a
+    zero for every r < h.  A stride-b run of m elements of I_h is an m x h
+    grid of zeros, worth m + h, and bch_bound(I_h) is the longest such run
+    plus one; so the bound is the largest bch_bound(I_h) - 1 + h over c and
+    h = 1, 2, ... until I_h is empty.  h = 1 is the BCH value, the same for
+    every c.  Only c <= n/2 is scanned: I_h for -c is a translate of I_h for c.
+    """
+    zs = set(zeros)
+    if not zs:
+        return 1
+    if len(zs) >= n:
+        return n + 1
+    best = _reference_bch_bound(zs, n)
+    for c in range(1, n // 2 + 1):
+        if math.gcd(c, n) != 1:
+            continue
+        rows, h = {x for x in zs if (x + c) % n in zs}, 2
+        while rows:
+            best = max(best, _reference_bch_bound(rows, n) - 1 + h)
+            rows = {x for x in rows if (x + h * c) % n in zs}
+            h += 1
+    return min(best, n)
+
+
+_REFERENCE_CASES = ([(n, 2) for n in range(1, 32, 2)]
+                    + [(n, 3) for n in range(1, 21) if n % 3])
+
+
+@pytest.mark.parametrize("n,q", _REFERENCE_CASES)
+def test_bounds_match_the_reference_on_every_code(n, q):
+    for c in enumerate_codes(n, q):
+        assert bch_bound(c.zeros, n) == _reference_bch_bound(c.zeros, n), c
+        assert ht_bound(c.zeros, n) == _reference_ht_bound(c.zeros, n), c
+
+
+def test_bounds_match_the_reference_past_one_pass():
+    rng = random.Random(9)
+    units, _, first = _strides(255)
+    assert _PASS // first.size < len(units)  # the rows I_h need several passes
+    for _ in range(3):
+        zeros = {i for i in range(255) if rng.random() < 0.3}
+        assert bch_bound(zeros, 255) == _reference_bch_bound(zeros, 255)
+        assert ht_bound(zeros, 255) == _reference_ht_bound(zeros, 255), sorted(zeros)
+    units, _, first = _strides(511)
+    assert len(first) < len(units)  # so do the strides
+    for _ in range(3):
+        zeros = {i for i in range(511) if rng.random() < 0.5}
+        assert bch_bound(zeros, 511) == _reference_bch_bound(zeros, 511), sorted(zeros)
+    zeros = rng.choice(cyclotomic_cosets(511, 2).cosets)  # ht is slow at 511: one coset
+    assert ht_bound(zeros, 511) == _reference_ht_bound(zeros, 511), sorted(zeros)
+
+
+@pytest.mark.parametrize("zeros,n,message", [({7}, 7, "zero 7 "), ({0, 8, 9}, 7, "zero 9 "),
+                                             ({-1, 2}, 5, "zero -1 "),
+                                             ({1, 2, 3}, 0, "length 0 "), (set(), 0, "length 0 ")])
+def test_bounds_refuse_zeros_that_are_not_residues(zeros, n, message):
+    for bound in (bch_bound, ht_bound):
+        with pytest.raises(DomainError, match=message):
+            bound(zeros, n)
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,14 @@ def test_canonical_context_pins(pem):
         assert tuple(ctx.embed_scalar(c).code for c in range(q)) == CANONICAL_EMBEDDINGS[pem]
 
 
+def test_primitive_search_skips_the_constants():
+    # in F_{p^2} the constants 1..p-1 have order dividing p - 1, so the search
+    # starts at code p; from code 1 this field took over a minute
+    ctx = field_ctx(100003, 1, 2)
+    assert ctx.primitive_elt.code == 100012
+    assert mult_order(ctx.primitive_elt) == ctx.group_order == 100003**2 - 1
+
+
 # Oracles for the field products: FPoly multiplication and remainder over F_p.
 
 
