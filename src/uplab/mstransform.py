@@ -9,8 +9,16 @@ indexed 1..n to keep that convention visible.
 The weight of the transform needs no splitting field.  Since gcd(n, q) = 1,
 x^n - 1 is squarefree, so f(zeta^i) = 0 exactly when x - zeta^i divides
 g = gcd(f, x^n - 1), and w(f-hat) = n - deg g: the dimension of the cyclic
-code that f generates.  transform_weight and the scans compute it that way,
-over F_q; ms_forward and ms_inverse build the vector itself.
+code that f generates.  ms_forward and ms_inverse build the vector itself.
+
+The exhaustive scan reads deg g off remainders instead: deg g is the sum of
+|C| over the cyclotomic cosets C whose factor m_C divides f, and f mod m_C is
+F_p-linear in the base-p digits of the word, so the remainders of a block of
+words are those of its low symbols, tabled once, plus one remainder for its
+high symbols.  factor_xn_minus_1 builds the splitting field, whose order is
+at most q^n <= 2^24 there.  transform_weight, naive_up_check and the random
+scan keep the gcd over F_q, which needs no splitting field: a random scan
+takes lengths whose splitting field lies past the field-order cap.
 """
 
 from __future__ import annotations
@@ -18,10 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf import (DomainError, FFElem, FieldCtx, InternalError, PrimePower, from_digits,
                  nth_root_of_unity, splitting_ctx, to_digits)
-from .polyring import _ALPHABET, poly_gcd, word_to_poly, xn_minus_1
+from .polyring import (_ALPHABET, FPoly, factor_xn_minus_1, poly_gcd, word_to_poly,
+                       xn_minus_1)
 _EXHAUSTIVE_CAP = 1 << 24
+_SCAN_BLOCK = 1 << 10  # words per block; 2^12 left ~0.1 MiB more peak RSS
 
 
 @dataclass(frozen=True)
@@ -180,37 +192,99 @@ def _word_string(word) -> str:
     return "".join(_ALPHABET[c] for c in word)
 
 
+def _remainder_map(n: int, field: PrimePower):
+    """The F_p-linear map from a word's base-p digits to its remainders.
+
+    Row i*e + j holds the base-p digits of p^j * x^i mod m_C for every coset
+    factor m_C side by side, m_C taking deg m_C * e columns; the scalar code
+    p^j has the single digit 1 at place j.  Returns that matrix, the matrix
+    that turns a row of remainder digits into one code per factor (its
+    digits read in base p), and the factor degrees, which are the coset
+    sizes."""
+    p, e = field.p, field.e
+    factors = factor_xn_minus_1(n, field)
+    rows = [[d for m in factors for c in (FPoly(field, (0,) * i + (p**j,)) % m).padded(m.degree)
+             for d in to_digits(c, p, e)] for i in range(n) for j in range(e)]
+    sizes = np.array([m.degree for m in factors])
+    places = np.zeros((n * e, len(factors)), dtype=np.int32)
+    col = 0
+    for c, size in enumerate(sizes):
+        places[col:col + size * e, c] = p ** np.arange(size * e)
+        col += size * e
+    return np.array(rows, dtype=np.int32), places, sizes
+
+
+def _exhaustive_products(n: int, field: PrimePower):
+    """min, first argmin v, equality and violation counts of w * w-hat over
+    the words v = 1..q^n - 1, whose symbol i is v // q^i % q.
+
+    A block holds the q^k words v = hi * q^k + lo that share their high
+    symbols.  Such a word is f_lo + x^k f_hi, so it vanishes on the coset C
+    when the remainder of f_lo mod m_C is minus that of x^k f_hi: the codes
+    of the low remainders are tabled once, and a block compares them with
+    the one code its high symbols give.  int32 is exact here: a digit sum is
+    at most n*e*(p-1)^2 and a code below p^(n*e) = q^n <= 2^24.
+    """
+    q, p, e = field.q, field.p, field.e
+    remainders, places, sizes = _remainder_map(n, field)
+    k = 1
+    while k < n and q ** (k + 1) <= _SCAN_BLOCK:
+        k += 1
+    low = np.arange(q**k, dtype=np.int32)[:, None] // p ** np.arange(k * e, dtype=np.int32) % p
+    low_codes = (low @ remainders[:k * e] % p) @ places
+    low_weight = np.count_nonzero(low.reshape(-1, k, e).any(axis=2), axis=1)
+    best = best_v = None
+    equality = violations = 0
+    for hi in range(q ** (n - k)):
+        high = np.array(to_digits(hi, p, (n - k) * e), dtype=np.int32)
+        target = (-(high @ remainders[k * e:]) % p) @ places
+        w_hat = n - (low_codes == target) @ sizes
+        prod = (low_weight + sum(1 for c in to_digits(hi, q, n - k) if c)) * w_hat
+        first = int(hi == 0)  # v = 0 is the zero word, which the scan skips
+        prod = prod[first:]
+        least = int(prod.min())
+        if best is None or least < best:
+            best, best_v = least, hi * q**k + first + int(prod.argmin())
+        equality += int(np.count_nonzero(prod == n))
+        violations += int(np.count_nonzero(prod < n))
+    return best, best_v, equality, violations
+
+
 def naive_up_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
                   seed: int = 0) -> UPScanReport:
     """Sweep nonzero words and report the smallest weight product observed.
 
-    Exhaustive mode covers all q^n - 1 words (capped); random mode samples.
+    Exhaustive mode covers all q^n - 1 words (q^n <= 2^24), in blocks of
+    words whose vanishing on each coset is read off the remainder map;
+    random mode samples `trials` words and takes each transform weight by a
+    gcd over F_q, since at lengths past the cap the splitting field can be
+    too large to build.  The minimum is reported with its first word in the
+    order v = 1, 2, ..., symbol i of v being v // q^i % q.
     """
     field = PrimePower.of(q)
+    if field.q > len(_ALPHABET):
+        raise DomainError(f"digit serialization supports q <= {len(_ALPHABET)}")
     _check_length(n, field)
     if mode == "exhaustive":
         if field.q**n > _EXHAUSTIVE_CAP:
             raise DomainError(f"q^n = {field.q**n} beyond exhaustive cap {_EXHAUSTIVE_CAP}")
-        gen = (to_digits(v, field.q, n) for v in range(1, field.q**n))
-    elif mode == "random":
-        import random
-
-        if trials < 1:
-            raise DomainError(f"random mode needs trials >= 1, got {trials}")
-        rng = random.Random(seed)
-        gen = (to_digits(rng.randrange(1, field.q**n), field.q, n) for _ in range(trials))
-    else:
+        best, best_v, equality, violations = _exhaustive_products(n, field)
+        return UPScanReport(n, field.q, mode, field.q**n - 1, best,
+                            _word_string(to_digits(best_v, field.q, n)), equality, violations)
+    if mode != "random":
         raise DomainError(f"unknown mode {mode!r}")
+    import random
 
+    if trials < 1:
+        raise DomainError(f"random mode needs trials >= 1, got {trials}")
+    rng = random.Random(seed)
     best = None
     best_word = None
     equality = 0
     violations = 0
-    checked = 0
-    for word in gen:
-        checked += 1
-        w = sum(1 for c in word if c)
-        prod = w * transform_weight(word, field)
+    for _ in range(trials):
+        word = to_digits(rng.randrange(1, field.q**n), field.q, n)
+        prod = sum(1 for c in word if c) * transform_weight(word, field)
         if prod < n:
             violations += 1
         if prod == n:
@@ -218,5 +292,5 @@ def naive_up_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
         if best is None or prod < best:
             best = prod
             best_word = word
-    return UPScanReport(n, field.q, mode, checked, best, _word_string(best_word),
+    return UPScanReport(n, field.q, mode, trials, best, _word_string(best_word),
                         equality, violations)

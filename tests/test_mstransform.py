@@ -1,14 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from uplab.gf import (FIELD_ORDER_CAP, DomainError, PrimePower, nth_root_of_unity, ord_mod,
-                      splitting_ctx)
-from uplab.polyring import poly_gcd, word_to_poly, xn_minus_1
-from uplab.mstransform import (MSVector, ms_forward, ms_inverse, naive_up_check,
-                               naive_up_scan, transform_weight)
+from uplab import mstransform
+from uplab.gf import (FIELD_ORDER_CAP, DomainError, PrimePower, from_digits, nth_root_of_unity,
+                      ord_mod, splitting_ctx, to_digits)
+from uplab.polyring import factor_xn_minus_1, poly_gcd, word_to_poly, xn_minus_1
+from uplab.mstransform import (_EXHAUSTIVE_CAP, MSVector, UPScanReport, _check_length,
+                               _remainder_map, _word_string, ms_forward, ms_inverse,
+                               naive_up_check, naive_up_scan, transform_weight)
 
 
 def test_constant_word():
@@ -133,6 +136,98 @@ def test_scan_report_matches_evaluated_sweep(n, q):
                                "words_checked": q**n - 1, "min_product": best,
                                "argmin_word": argmin, "equality_count": equality,
                                "violations": 0}
+
+
+# The scan as it was before the remainder-map kernel: one gcd per word.  The
+# exhaustive reports must equal its reports, and random mode still is it.
+
+
+def _reference_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
+                    seed: int = 0) -> UPScanReport:
+    field = PrimePower.of(q)
+    _check_length(n, field)
+    if mode == "exhaustive":
+        if field.q**n > _EXHAUSTIVE_CAP:
+            raise DomainError(f"q^n = {field.q**n} beyond exhaustive cap {_EXHAUSTIVE_CAP}")
+        gen = (to_digits(v, field.q, n) for v in range(1, field.q**n))
+    elif mode == "random":
+        import random
+
+        if trials < 1:
+            raise DomainError(f"random mode needs trials >= 1, got {trials}")
+        rng = random.Random(seed)
+        gen = (to_digits(rng.randrange(1, field.q**n), field.q, n) for _ in range(trials))
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
+
+    best = None
+    best_word = None
+    equality = 0
+    violations = 0
+    checked = 0
+    for word in gen:
+        checked += 1
+        w = sum(1 for c in word if c)
+        prod = w * transform_weight(word, field)
+        if prod < n:
+            violations += 1
+        if prod == n:
+            equality += 1
+        if best is None or prod < best:
+            best = prod
+            best_word = word
+    return UPScanReport(n, field.q, mode, checked, best, _word_string(best_word),
+                        equality, violations)
+
+
+# every length with q^n <= 2^11, n = 1 included, and two scans of several blocks
+REFERENCE_GRID = [(n, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32)
+                  for n in range(1, 12) if math.gcd(n, q) == 1 and q**n <= 1 << 11]
+REFERENCE_GRID += [(13, 2), (8, 3)]
+
+
+@pytest.mark.parametrize("n,q", REFERENCE_GRID)
+def test_scan_matches_reference_engine(n, q):
+    assert naive_up_scan(n, q).json_dict() == _reference_scan(n, q).json_dict()
+
+
+@pytest.mark.parametrize("n,q,trials,seed", [(15, 2, 40, 3), (7, 4, 30, 8), (29, 8, 3, 1)])
+def test_random_scan_matches_reference_engine(n, q, trials, seed):
+    # (29, 8) lies past the exhaustive cap and its splitting field past FIELD_ORDER_CAP
+    assert (naive_up_scan(n, q, "random", trials, seed).json_dict()
+            == _reference_scan(n, q, "random", trials, seed).json_dict())
+
+
+@pytest.mark.parametrize("n,q", [(7, 2), (4, 5), (5, 4), (3, 8), (4, 9)])
+def test_remainder_map_gives_the_remainders(n, q):
+    # Rows that permuted the digits within each symbol would make the scan weigh
+    # a bijective image of each word, of the same weight, so every scan report
+    # would stay as it is; only the remainders show such an error.  A code is
+    # the remainder's coefficients read in base q.
+    field = PrimePower.of(q)
+    remainders, places, sizes = _remainder_map(n, field)
+    factors = factor_xn_minus_1(n, q)
+    assert sizes.tolist() == [m.degree for m in factors]
+    rng = random.Random(n * q)
+    for v in [1, q**n - 1] + [rng.randrange(q**n) for _ in range(20)]:
+        f = word_to_poly(field, to_digits(v, q, n))
+        codes = np.array(to_digits(v, field.p, n * field.e)) @ remainders % field.p @ places
+        assert codes.tolist() == [from_digits((f % m).padded(m.degree), q) for m in factors]
+
+
+def test_exhaustive_scan_takes_no_gcd(monkeypatch):
+    def refuse(word, q):
+        raise AssertionError("exhaustive scan called transform_weight")
+
+    monkeypatch.setattr(mstransform, "transform_weight", refuse)
+    assert naive_up_scan(9, 4).min_product == 9
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_scan_refuses_fields_past_the_alphabet(mode):
+    # the argmin word is written with one of 36 digits per symbol
+    with pytest.raises(DomainError, match="q <= 36"):
+        naive_up_scan(3, 37, mode=mode, trials=5, seed=27)
 
 
 @st.composite
