@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf import DomainError, InternalError, PrimePower, from_digits, to_digits
+from .gf import DomainError, InternalError, PrimePower, _scalar_tables, from_digits, to_digits
 from .polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
 
 DEFAULT_BUDGET = 1 << 28
@@ -265,10 +265,10 @@ def _systematic_rows(code: CyclicCode):
     With m = n - k = deg g and r_i = x^(m+i) mod g, row i is x^i - x^k r_i: g
     divides it, since x^k r_i = x^(n+i) = x^i mod g.  r_0 = x^m - g, and each
     r_(i+1) is x r_i less its x^m coefficient times g.  Bitmask ints for q = 2,
-    a numpy int64 matrix for prime q > 2 (entries below q)."""
-    n, k, p = code.n, code.dim, code.field.p
+    a numpy int64 matrix of scalar codes for q > 2."""
+    n, k = code.n, code.dim
     m = n - k
-    if p == 2:
+    if code.q == 2:
         g, r, rows = from_digits(code.gen.coeffs, 2), 1 << m, []
         for i in range(k):
             if r >> m & 1:
@@ -276,15 +276,38 @@ def _systematic_rows(code: CyclicCode):
             rows.append(1 << i | r << k)
             r <<= 1
         return rows
+    add, neg, dot = _scalar_ops(code.field)
     g, r = np.array(code.gen.coeffs, np.int64), np.zeros(m + 1, np.int64)
     rows = np.zeros((k, n), np.int64)
     r[m] = 1
     for i in range(k):
-        r = (r - r[m] * g) % p
+        r = add(r, neg(dot(r[m:], g[None])))
         rows[i, i] = 1
-        rows[i, k:] = -r[:m] % p
+        rows[i, k:] = neg(r[:m])
         r = np.roll(r, 1)
     return rows
+
+
+@lru_cache(maxsize=None)
+def _scalar_ops(field: PrimePower) -> tuple:
+    """add(a, b), neg(a) and dot(c, rows) = c @ rows on numpy arrays of the
+    scalar codes of F_q: residues mod q on a prime field, and off it the
+    entries of the field's add and mul tables, where neg(a) is the column in
+    which row a of the add table meets 0."""
+    q = field.q
+    if field.e == 1:
+        return (lambda a, b: (a + b) % q, lambda a: -a % q, lambda c, rows: c @ rows % q)
+    add_t, mul_t = (np.array(t, np.min_scalar_type(q - 1))
+                    for t in _scalar_tables(field.p, field.e)[:2])
+    neg_t = np.nonzero(add_t == 0)[1]
+
+    def dot(c, rows):
+        acc = np.zeros(c.shape[:-1] + rows.shape[1:], add_t.dtype)
+        for i in range(len(rows)):
+            acc = add_t[acc, mul_t[c[..., i, None], rows[i]]]
+        return acc
+
+    return (lambda a, b: add_t[a, b], lambda a: neg_t[a], dot)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +362,19 @@ def _min_weight_q2(rows, n, stop_at):
     return best, work
 
 
-def _min_weight_qp(rows, q, stop_at, budget):
-    """Exhaustive minimum weight over prime fields q > 2, blocked low tables.
+def _min_weight_qp(rows, field: PrimePower, stop_at, budget):
+    """Exhaustive minimum weight over F_q, q > 2, blocked low tables.
 
     A position of the shifted block vanishes iff the low-table entry equals
     the negation of the high-part codeword there, so weights come from one
     equality comparison instead of an add-and-reduce pass.  The table holds
-    residues in the smallest unsigned type (one byte up to q = 256) and is
-    built one message digit at a time, each sum of two residues in a type
+    scalar codes in the smallest unsigned type (one byte up to q = 256) and
+    is built one message digit at a time, each sum of two codes in a type
     wide enough for it; products are formed in int64.
     """
     k, n = rows.shape
+    q = field.q
+    add, neg, dot = _scalar_ops(field)
     klo = 1
     while q ** (klo + 1) <= (1 << 16) and klo < k:
         klo += 1
@@ -357,8 +382,8 @@ def _min_weight_qp(rows, q, stop_at, budget):
     residue, wide = np.min_scalar_type(q - 1), np.min_scalar_type(2 * (q - 1))
     lowtab = np.zeros((1, n), residue)
     for j in range(klo):  # row d * q^j + i of the next table is row i plus d * rows[j]
-        multiples = (np.arange(q)[:, None] * rows[j] % q).astype(wide)
-        lowtab = ((lowtab.astype(wide) + multiples[:, None, :]) % q).astype(residue).reshape(-1, n)
+        multiples = dot(np.arange(q)[:, None], rows[j][None]).astype(wide)
+        lowtab = add(lowtab.astype(wide), multiples[:, None, :]).astype(residue).reshape(-1, n)
     best = n + 1
     work = 0
     for hi in range(q ** (k - klo)):
@@ -366,9 +391,8 @@ def _min_weight_qp(rows, q, stop_at, budget):
             zmax = int((lowtab[1:] == 0).sum(axis=1, dtype=np.int16).max())
             work += nlo - 1
         else:
-            hi_cw = (np.asarray(to_digits(hi, q, k - klo), np.int64) @ rows[klo:]) % q
-            neg = ((q - hi_cw) % q).astype(residue)
-            zmax = int((lowtab == neg).sum(axis=1, dtype=np.int16).max())
+            hi_cw = dot(np.asarray(to_digits(hi, q, k - klo), np.int64), rows[klo:])
+            zmax = int((lowtab == neg(hi_cw).astype(residue)).sum(axis=1, dtype=np.int16).max())
             work += nlo
         w = n - zmax
         if w < best:
@@ -377,35 +401,6 @@ def _min_weight_qp(rows, q, stop_at, budget):
                 break
         if work > budget:
             raise InternalError("q-ary kernel exceeded its prechecked budget")
-    return best, work
-
-
-def _min_weight_generic(code: CyclicCode, stop_at):
-    """Plain enumeration for prime-power base fields; only for small q^k."""
-    field, n, k = code.field, code.n, code.dim
-    gen = code.gen.padded(n)
-    rows = []
-    for i in range(k):
-        row = [0] * n
-        for j, c in enumerate(gen):
-            row[(i + j) % n] = c
-        rows.append(row)
-    best = n + 1
-    work = 0
-    for v in range(1, field.q**k):
-        msg = to_digits(v, field.q, k)
-        cw = [0] * n
-        for r, m in zip(rows, msg):
-            if m:
-                for j in range(n):
-                    if r[j]:
-                        cw[j] = field.sadd(cw[j], field.smul(m, r[j]))
-        w = sum(1 for c in cw if c)
-        work += 1
-        if w < best:
-            best = w
-            if best <= stop_at:
-                break
     return best, work
 
 
@@ -441,25 +436,27 @@ def _scan_weight_w_q2(rows, n, w):
     return best
 
 
-def _scan_weight_w_qp(rows, p, w):
-    """Same over a prime field: the first coefficient is fixed to 1, since a
+def _scan_weight_w_qp(rows, field: PrimePower, w):
+    """Same over F_q, q > 2: the first coefficient is fixed to 1, since a
     scalar multiple of a codeword has its weight.  The last t coefficients
     are tabled, t as large as keeps the table within _BLOCK entries; the
-    others are looped over."""
+    others are looped over, and a position vanishes where the tabled word
+    equals the negated looped part."""
     k, n = rows.shape
+    q = field.q
+    add, neg, dot = _scalar_ops(field)
     t = w - 1
-    while t and (p - 1) ** t * n > _BLOCK:
+    while t and (q - 1) ** t * n > _BLOCK:
         t -= 1
-    tails = list(itertools.product(range(1, p), repeat=t))
+    tails = list(itertools.product(range(1, q), repeat=t))
     tail = np.array(tails, np.int64).reshape(len(tails), t)
     best = n + 1
     for combo in itertools.combinations(range(k), w):
         sub = rows[list(combo)]
-        tail_words = tail @ sub[w - t:]
-        for head in itertools.product(range(1, p), repeat=w - 1 - t):
-            lead = sub[0] + np.asarray(head, np.int64) @ sub[1:w - t]
-            words = (lead + tail_words) % p
-            best = min(best, int(np.count_nonzero(words, axis=1).min()))
+        tail_words = dot(tail, sub[w - t:])
+        for head in itertools.product(range(1, q), repeat=w - 1 - t):
+            lead = add(sub[0], dot(np.asarray(head, np.int64), sub[1:w - t]))
+            best = min(best, n - int((tail_words == neg(lead)).sum(axis=1).max()))
     return best
 
 
@@ -495,7 +492,7 @@ def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
         if q == 2:
             upper = min(upper, _scan_weight_w_q2(rows, n, w))
         else:
-            upper = min(upper, _scan_weight_w_qp(rows, q, w))
+            upper = min(upper, _scan_weight_w_qp(rows, code.field, w))
         work += round_cost
 
 
@@ -525,18 +522,14 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
         if hit is not None:
             return hit
     if q**k <= budget:
+        rows = _systematic_rows(code)
         if q == 2:
-            best, work = _min_weight_q2(_systematic_rows(code), n, lower)
-        elif code.field.e == 1:
-            best, work = _min_weight_qp(_systematic_rows(code), q, lower, budget)
+            best, work = _min_weight_q2(rows, n, lower)
         else:
-            best, work = _min_weight_generic(code, lower)
+            best, work = _min_weight_qp(rows, code.field, lower, budget)
         if best < lower:
             raise InternalError(f"designed-distance bound {lower} exceeds true distance {best}")
         res = DistanceResult(best, best, True, "exhaustive", work)
-    elif code.field.e > 1:
-        # the deepening tier reduces mod p, which is wrong off prime fields
-        return DistanceResult(lower, n, False, "bch_only", 0)
     else:
         res = _bz_distance(code, lower, budget, lower_target)
     if cache is not None and res.exact:

@@ -355,7 +355,7 @@ def test_bounds_refuse_zeros_that_are_not_residues(zeros, n, message):
 # generator matrices
 
 _BASIS_CASES = ([(n, 2) for n in range(1, 32, 2)]
-                + [(n, q) for q in (3, 5, 7) for n in range(1, 21) if n % q])
+                + [(n, q) for q in (3, 4, 5, 7, 8, 9) for n in range(1, 21) if math.gcd(n, q) == 1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -431,23 +431,16 @@ def test_qr17():
     assert ht_bound(qr.zeros, 17) == 5
 
 
-@pytest.mark.parametrize("n,q", [(7, 2), (15, 2), (17, 2), (8, 3), (13, 3)])
+@pytest.mark.parametrize("n,q", [(7, 2), (15, 2), (17, 2), (8, 3), (13, 3),
+                                 (5, 4), (7, 8), (8, 9), (5, 16)])
 def test_kernel_matches_reencoding_oracle(n, q):
+    # the oracle's scalar products off a prime field are table lookups in
+    # pure Python, so there it re-encodes at most 2^12 messages per code
+    cap = 1 << 16 if PrimePower.of(q).e == 1 else 1 << 12
     for code in enumerate_codes(n, q):
-        if code.q**code.dim > 1 << 16:
+        if code.q**code.dim > cap:
             continue
         assert min_distance(code).d == distance_oracle(code), code
-
-
-def test_generic_kernel_prime_power_base():
-    # base field F_4: the generic enumeration path
-    codes = enumerate_codes(5, 4)
-    got = {(c.dim, min_distance(c).d) for c in codes}
-    assert (1, 5) in got  # repetition
-    assert (5, 1) in got  # whole space
-    for c in codes:
-        if c.q**c.dim <= 1 << 12:
-            assert min_distance(c).d == distance_oracle(c)
 
 
 def test_bz_bracket_and_convergence():
@@ -467,7 +460,8 @@ def test_bz_bracket_and_convergence():
 
 
 @pytest.mark.parametrize("n,q", [(n, 2) for n in range(1, 32, 2)]
-                         + [(n, 3) for n in range(1, 17) if n % 3])
+                         + [(n, 3) for n in range(1, 17) if n % 3]
+                         + [(n, 4) for n in range(1, 16, 2)] + [(7, 8), (9, 8), (8, 9), (10, 9)])
 def test_bz_matches_exhaustive(n, q):
     # the deepening tier run to completion against the exhaustive kernel
     for code in enumerate_codes(n, q):
@@ -475,6 +469,16 @@ def test_bz_matches_exhaustive(n, q):
         assert full.method == "exhaustive"
         r = _bz_distance(code, bch_bound(code.zeros, n), budget=1 << 40)
         assert r.exact and r.method == "bz" and r.d == full.d, code
+
+
+def test_bz_deepens_off_prime_fields():
+    # 4^9 exceeds the budget, so the deepening tier must certify d over F_4;
+    # the bch bound alone gives only [3, 15]
+    code = [c for c in enumerate_codes(15, 4) if c.dim == 9][0]
+    r = min_distance(code, budget=1000)
+    assert (r.method, r.exact, r.d) == ("bz", True, 3)
+    full = min_distance(code)
+    assert (full.method, full.d) == ("exhaustive", 3)
 
 
 @pytest.mark.parametrize("q,n", [(127, 7), (211, 7), (241, 8), (251, 5)])
@@ -568,7 +572,7 @@ def test_bounds_below_distance():
 
 
 @pytest.mark.parametrize("n,q,expected", [(7, 2, 7), (17, 2, 14), (9, 2, 6),
-                                          (11, 2, 12), (13, 3, 11)])
+                                          (11, 2, 12), (13, 3, 11), (17, 4, 14), (19, 4, 17)])
 def test_mu_values(n, q, expected):
     rec = mu(n, q)
     assert rec.exact and rec.mu == expected
