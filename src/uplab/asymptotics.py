@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclic import DEFAULT_BUDGET, CyclicCode, min_distance, mu
@@ -55,7 +55,6 @@ class WeakUPRow:
     mu_exact: bool
     cond_order: bool
     cond_mu: bool | None  # None when the bracket straddles lambda*p
-    record: object = field(repr=False, compare=False)  # the MuRecord behind the row; not emitted
 
     def json_dict(self):
         return {"p": self.p, "ord": self.ord_qp,
@@ -90,7 +89,7 @@ def weak_up_scan(q: int, eps: float, lam: float, p_max: int,
         else:
             cond_mu = None
         rows.append(WeakUPRow(p, o, rec.mu_lower, rec.mu_upper, rec.exact,
-                              cond_order, cond_mu, rec))
+                              cond_order, cond_mu))
     return rows
 
 

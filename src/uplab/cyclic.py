@@ -32,7 +32,7 @@ DEFAULT_BUDGET = 1 << 28
 _WORD = 0xFFFFFFFFFFFFFFFF
 _BLOCK = 1 << 20  # array entries per vectorised pass in the deepening scans
 _PASS = 1 << 14  # array entries per vectorised pass in the designed-distance bounds
-_ENUM_CAP_T = 30  # refuse enumerating 2^t divisor lattices beyond this
+_ENUM_CAP_T = 20  # refuse 2^t divisor lattices beyond this: a code holds about 1 KB
 
 
 @dataclass(frozen=True)
@@ -292,14 +292,14 @@ def _systematic_rows(code: CyclicCode):
 def _scalar_ops(field: PrimePower) -> tuple:
     """add(a, b), neg(a) and dot(c, rows) = c @ rows on numpy arrays of the
     scalar codes of F_q: residues mod q on a prime field, and off it the
-    entries of the field's add and mul tables, where neg(a) is the column in
-    which row a of the add table meets 0."""
+    entries of the field's add and mul tables, where neg(a) reads the row of
+    -1 = p - 1 in the mul table."""
     q = field.q
     if field.e == 1:
         return (lambda a, b: (a + b) % q, lambda a: -a % q, lambda c, rows: c @ rows % q)
     add_t, mul_t = (np.array(t, np.min_scalar_type(q - 1))
                     for t in _scalar_tables(field.p, field.e)[:2])
-    neg_t = np.nonzero(add_t == 0)[1]
+    neg_t = mul_t[field.p - 1]
 
     def dot(c, rows):
         acc = np.zeros(c.shape[:-1] + rows.shape[1:], add_t.dtype)

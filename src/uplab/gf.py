@@ -226,13 +226,8 @@ class PrimePower:
             return (a + b) % self.p
         return _scalar_tables(self.p, self.e)[0][a][b]
 
-    def ssub(self, a, b):
-        return self.sadd(a, self.sneg(b))
-
     def sneg(self, a):
-        if self.e == 1:
-            return -a % self.p
-        return from_digits([-d % self.p for d in to_digits(a, self.p, self.e)], self.p)
+        return self.smul(a, self.p - 1)  # -1 is the scalar p - 1 in every F_{p^e}
 
     def smul(self, a, b):
         if self.e == 1:

@@ -91,11 +91,7 @@ class FPoly:
 
     def __sub__(self, other):
         self._same(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return FPoly(f, tuple(f.ssub(a[i] if i < len(a) else 0,
-                                     b[i] if i < len(b) else 0) for i in range(n)))
+        return self + other * (self.field.p - 1)
 
     def __mul__(self, other):
         f = self.field
@@ -148,8 +144,9 @@ class FPoly:
             if c:
                 c = f.smul(c, inv)
                 quot[i - db] = c
+                c = f.sneg(c)
                 for j in range(db + 1):
-                    a[i - db + j] = f.ssub(a[i - db + j], f.smul(c, b[j]))
+                    a[i - db + j] = f.sadd(a[i - db + j], f.smul(c, b[j]))
         return FPoly(f, tuple(quot)), FPoly(f, tuple(a[:db] if db else ()))
 
     def __mod__(self, other):

@@ -55,32 +55,32 @@ def contains_ap(S, m: int, n: int):
     return False, None
 
 
-def _ap_masks(m, n):
+def _translates(n, bases, size):
+    """The sorted masks of every translate of the point sets `bases`, and
+    whether some base has fewer than `size` points.
+
+    A translate by r is the rotation of a base's mask by r bits.
+    """
+    full = (1 << n) - 1
     masks = set()
     collapsed = False
-    for b in range(1, n):
-        for a in range(n):
-            pts = {(a + k * b) % n for k in range(m)}
-            if len(pts) < m:
-                collapsed = True
-            masks.add(sum(1 << p for p in pts))
+    for pts in bases:
+        collapsed |= len(pts) < size
+        mk = sum(1 << p for p in pts)
+        if mk not in masks:  # else all its rotations are in already
+            masks.update((mk << r | mk >> (n - r)) & full for r in range(n))
     return sorted(masks), collapsed
+
+
+def _ap_masks(m, n):
+    return _translates(n, ({k * b % n for k in range(m)} for b in range(1, n)), m)
 
 
 def _grid_masks(delta, s, n):
-    masks = set()
-    collapsed = False
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    size = (delta - 1) * (s + 1)
-    for b in units:
-        for c in units:
-            for a in range(n):
-                pts = {(a + k * b + r * c) % n
-                       for k in range(delta - 1) for r in range(s + 1)}
-                if len(pts) < size:
-                    collapsed = True
-                masks.add(sum(1 << p for p in pts))
-    return sorted(masks), collapsed
+    bases = ({(k * b + r * c) % n for k in range(delta - 1) for r in range(s + 1)}
+             for b in units for c in units)
+    return _translates(n, bases, (delta - 1) * (s + 1))
 
 
 class _Capped(Exception):

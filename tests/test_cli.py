@@ -303,6 +303,12 @@ def test_mode_refuses_unread_flags(base, flag, capsys):
     assert captured.out == "" and flag in captured.err
 
 
+def test_mu_past_the_enumeration_cap_exit_2(capsys):
+    assert main(["mu", "--n", "40", "--q", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "2^24" in captured.err
+
+
 def test_table_bad_primes_exit_2(capsys):
     assert main(["table", "--primes", "7,x"]) == 2
     captured = capsys.readouterr()

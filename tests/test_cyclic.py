@@ -11,8 +11,8 @@ from uplab.cli import Cache
 from uplab.asymptotics import construction_demo
 from uplab.gf import DomainError, PrimePower, to_digits
 from uplab.polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
-from uplab.cyclic import (DEFAULT_BUDGET, _PASS, CyclicCode, _bz_distance, _orbit_key,
-                          _multiplier_reps, _strides, _systematic_rows, bch_bound,
+from uplab.cyclic import (DEFAULT_BUDGET, _ENUM_CAP_T, _PASS, CyclicCode, _bz_distance,
+                          _orbit_key, _multiplier_reps, _strides, _systematic_rows, bch_bound,
                           enumerate_codes, ht_bound, min_distance, mu, strong_up_witness)
 
 # deterministic property tests that leave no example database behind
@@ -185,6 +185,15 @@ def test_enumeration_refuses_huge_lattices():
     # q = 32 is 1 mod 31: all singleton cosets, 2^31 divisors
     with pytest.raises(DomainError):
         enumerate_codes(31, 32)
+
+
+def test_enumeration_cap_refuses_f9_length_40_at_once():
+    # 24 cosets: 2^24 codes at about 1 KB each would not fit in memory
+    assert len(cyclotomic_cosets(40, 9).cosets) == 24
+    with pytest.raises(DomainError, match=r"2\^24"):
+        enumerate_codes(40, 9)
+    # the cap still admits mu(127, 2), whose 19 cosets the table pins
+    assert len(cyclotomic_cosets(127, 2).cosets) == 19 <= _ENUM_CAP_T
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from uplab.gf import (DomainError, FieldCtx, PrimePower, _find_irreducible, _scalar_tables,
                       factorize, field_ctx, from_digits, is_prime, is_primitive, mult_order,
                       nth_root_of_unity, ord_mod, splitting_ctx, to_digits)
+from uplab.cyclic import _scalar_ops
 from uplab.polyring import FPoly
 
 
@@ -371,3 +372,28 @@ def test_scalar_tables_are_fpoly_products(p, e):
     for a in range(q):
         assert list(add[a]) == [from_digits([(x + y) % p for x, y in zip(digits[a], db)], p)
                                 for db in digits]
+
+
+def _digit_neg(a, p, e):
+    # the former negation rule: negate every base-p digit of the code
+    return from_digits([-d % p for d in to_digits(a, p, e)], p)
+
+
+@pytest.mark.parametrize("p,e", _SCALAR_FIELDS + [(2, 1), (3, 1), (5, 1), (7, 1), (251, 1)])
+def test_negation_is_multiplication_by_minus_one(p, e):
+    f, q = PrimePower.make(p, e), p**e
+    neg = [f.sneg(a) for a in range(q)]
+    assert neg == [_digit_neg(a, p, e) for a in range(q)]
+    assert all(f.sadd(a, neg[a]) == 0 for a in range(q))
+    assert _scalar_ops(f)[1](np.arange(q)).tolist() == neg
+    rng = random.Random(q)
+    for _ in range(20):
+        a, b = (FPoly(f, [rng.randrange(q) for _ in range(rng.randrange(8))]) for _ in range(2))
+        n = max(len(a.coeffs), len(b.coeffs))
+        pad = [c.coeffs + (0,) * (n - len(c.coeffs)) for c in (a, b)]
+        assert (a - b).coeffs == FPoly(f, [f.sadd(x, _digit_neg(y, p, e))
+                                           for x, y in zip(*pad)]).coeffs
+        assert a - b == a + b * (p - 1) and (a - b) + b == a
+        if b.coeffs:  # division subtracts c*b through sneg(c)
+            quot, rem = divmod(a, b)
+            assert quot * b + rem == a and rem.degree < b.degree

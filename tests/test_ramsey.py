@@ -258,6 +258,52 @@ def test_scan_bound_23():
     assert ap_scan_bound(23) == 15
 
 
+# ---------------------------------------------------------------------------
+# pattern masks: the former builders, one point set per translate
+
+
+def _ap_masks_per_translate(m, n):
+    masks, collapsed = set(), False
+    for b in range(1, n):
+        for a in range(n):
+            pts = {(a + k * b) % n for k in range(m)}
+            collapsed |= len(pts) < m
+            masks.add(sum(1 << p for p in pts))
+    return sorted(masks), collapsed
+
+
+def _grid_masks_per_translate(delta, s, n):
+    masks, collapsed = set(), False
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    for b in units:
+        for c in units:
+            for a in range(n):
+                pts = {(a + k * b + r * c) % n for k in range(delta - 1) for r in range(s + 1)}
+                collapsed |= len(pts) < (delta - 1) * (s + 1)
+                masks.add(sum(1 << p for p in pts))
+    return sorted(masks), collapsed
+
+
+def _check_masks(ap_ns, grid_ns):
+    for n in ap_ns:
+        for m in range(1, n + 1):
+            assert _ap_masks(m, n) == _ap_masks_per_translate(m, n), (m, n)
+    for n in grid_ns:
+        for delta in range(2, n + 1):
+            for s in range(n - delta + 1):
+                assert _grid_masks(delta, s, n) == _grid_masks_per_translate(delta, s, n)
+
+
+def test_masks_are_rotations_of_one_base_pattern():
+    _check_masks(range(1, 30), range(2, 14))
+
+
+@pytest.mark.slow
+def test_masks_are_rotations_of_one_base_pattern_to_40():
+    # about 4 s: the progressions up to R_CAP = 40 and the grids up to 16
+    _check_masks(range(30, 41), range(14, 17))
+
+
 def _interval_sweep(length):
     """{m: [r_m([L]) for L <= length]} for m <= length + 1, from the longest
     integer progression in every subset of {0, ..., length - 1}."""
