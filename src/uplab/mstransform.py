@@ -9,7 +9,15 @@ indexed 1..n to keep that convention visible.
 The weight of the transform needs no splitting field.  Since gcd(n, q) = 1,
 x^n - 1 is squarefree, so f(zeta^i) = 0 exactly when x - zeta^i divides
 g = gcd(f, x^n - 1), and w(f-hat) = n - deg g: the dimension of the cyclic
-code that f generates.  ms_forward and ms_inverse build the vector itself.
+code that f generates.
+
+ms_forward and ms_inverse build the vector itself with F_p matrices.  With
+d the degree of the splitting field over F_p, y -> y * zeta is F_p-linear on
+the d base-p digits of y, so each call stacks the d x d matrices of zeta^0,
+..., zeta^n, and value i is the sum over j of digits(f_j) times the matrix
+of zeta^(i*j mod n), one numpy product per point.  The inverse reads the
+powers of zeta^-1 off the same stack.  The stack also checks zeta: its first
+identity matrix past zeta^0 must be that of zeta^n.
 
 The exhaustive scan reads deg g off remainders instead: deg g is the sum of
 |C| over the cyclotomic cosets C whose factor m_C divides f, and f mod m_C is
@@ -75,25 +83,53 @@ def _check_length(n: int, field: PrimePower):
         raise DomainError(f"gcd(n={n}, q={field.q}) != 1")
 
 
-def _at_powers(ctx: FieldCtx, coeffs, z: FFElem) -> list:
-    """The polynomial with these coefficients (lowest degree first) at
-    z^1, ..., z^n, Horner per point."""
-    values = []
-    point = ctx.one()
-    for _ in range(len(coeffs)):
-        point = ctx.mul(point, z)
-        acc = ctx.zero()
-        for c in reversed(coeffs):
-            acc = ctx.add(ctx.mul(acc, point), c)
-        values.append(acc)
+def _power_maps(ctx: FieldCtx, zeta: FFElem, n: int) -> np.ndarray:
+    """The F_p matrices of y -> y * zeta^k for k = 0..n, stacked.
+
+    Row r of each holds the digits of x^r * zeta^k, so a row of digits times
+    the matrix is the digits of the product.  zeta must be a primitive n-th
+    root of unity: the first k >= 1 whose matrix is the identity is its order.
+    """
+    p, d = ctx.char, ctx.deg
+    step = np.array([ctx.mul(ctx.from_code(p**r), zeta).digits for r in range(d)], np.int64)
+    stack = np.empty((n + 1, d, d), np.int64)
+    stack[0] = np.eye(d, dtype=np.int64)
+    for k in range(n):
+        stack[k + 1] = stack[k] @ step % p
+    ones = (stack[1:] == stack[0]).all(axis=(1, 2))
+    if not ones[n - 1] or ones[:n - 1].any():
+        raise DomainError(f"zeta is not a primitive {n}-th root of unity")
+    return stack
+
+
+def _at_powers(ctx: FieldCtx, coeffs, maps: np.ndarray, sign: int) -> np.ndarray:
+    """Digit rows of the polynomial with these coefficients (lowest degree
+    first) at zeta^(sign*i), i = 1..n, where maps is _power_maps(ctx, zeta, n).
+
+    Value i is sum_j digits(c_j) @ maps[sign*i*j mod n].  Each product is
+    reduced mod p after its d-term sum, before the n terms are added:
+    d*(p-1)^2 < 2^63 is the field's own cap, and n such sums need not be."""
+    p, n = ctx.char, len(coeffs)
+    digits = np.array([c.digits for c in coeffs], np.int64)
+    j = np.arange(n)
+    values = np.empty((n, ctx.deg), np.int64)
+    for i in range(1, n + 1):
+        terms = np.einsum("jr,jrs->js", digits, maps[sign * i * j % n]) % p
+        values[i - 1] = terms.sum(axis=0) % p
     return values
+
+
+def _element(ctx: FieldCtx, digits) -> FFElem:
+    return FFElem(from_digits(digits, 2) if ctx.char == 2 else tuple(digits), ctx)
 
 
 def ms_forward(word, q, zeta: FFElem | None = None) -> MSVector:
     """Evaluate the word's polynomial at zeta^1..zeta^n.
 
-    zeta defaults to the canonical root; passing zeta^b for gcd(b, n) = 1
-    permutes the values and is how weight invariance is exercised.
+    zeta must be a primitive n-th root of unity in the splitting field and
+    defaults to the canonical one; passing zeta^b for gcd(b, n) = 1 permutes
+    the values and is how weight invariance is exercised.  Any other zeta is
+    refused with DomainError.
     """
     field = PrimePower.of(q)
     word = tuple(word)
@@ -102,25 +138,29 @@ def ms_forward(word, q, zeta: FFElem | None = None) -> MSVector:
     ctx = splitting_ctx(field, n)
     if zeta is None:
         zeta = nth_root_of_unity(ctx, n)
-    values = _at_powers(ctx, [ctx.embed_scalar(c) for c in word], zeta)
-    return MSVector(n, field, ctx, tuple(values))
+    maps = _power_maps(ctx, zeta, n)
+    values = _at_powers(ctx, [ctx.embed_scalar(c) for c in word], maps, 1)
+    return MSVector(n, field, ctx, tuple(_element(ctx, v) for v in values.tolist()))
 
 
 def ms_inverse(msv: MSVector, zeta: FFElem | None = None) -> tuple:
     """Recover the word: f_j = n^{-1} * sum_i F_i zeta^{-ij}; the conjugacy
     invariant is checked first since it characterizes transforms of F_q words.
     The sum is F_n + F_1 y + ... + F_{n-1} y^{n-1} at y = zeta^-j, so the
-    values at zeta^-1, ..., zeta^-n are f_1, ..., f_{n-1}, f_0."""
+    values at zeta^-1, ..., zeta^-n are f_1, ..., f_{n-1}, f_0.  zeta must be
+    the primitive n-th root of unity the forward transform used; any other
+    zeta is refused with DomainError."""
     if not msv.conjugacy_ok():
         raise DomainError("conjugacy constraint violated: not the transform of a base-field word")
-    ctx, n = msv.ctx, msv.n
+    ctx, n, p = msv.ctx, msv.n, msv.ctx.char
     if zeta is None:
         zeta = nth_root_of_unity(ctx, n)
-    n_inv = ctx.embed_prime(pow(n % ctx.char, ctx.char - 2, ctx.char))
-    sums = _at_powers(ctx, msv.values[-1:] + msv.values[:-1], ctx.inv(zeta))
+    maps = _power_maps(ctx, zeta, n)
+    sums = _at_powers(ctx, msv.values[-1:] + msv.values[:-1], maps, -1)
+    sums = sums * pow(n % p, p - 2, p) % p
     word = []
-    for acc in sums[-1:] + sums[:-1]:
-        code = ctx.scalar_code(ctx.mul(acc, n_inv))
+    for acc in sums[-1:].tolist() + sums[:-1].tolist():
+        code = ctx.scalar_code(_element(ctx, acc))
         if code is None:
             raise InternalError("inverse transform left the base field despite conjugacy")
         word.append(code)

@@ -170,12 +170,10 @@ def test_criterion_08_transform_properties():
     rng = random.Random(88)
     grid = [(n, q) for n in (3, 5, 7, 9, 15, 17, 21, 31) for q in (2, 3, 5)
             if math.gcd(n, q) == 1]
-    heavy = {(17, 3), (31, 3), (17, 5)}
-    budgeted = {cell: (10 if cell in heavy else 70) for cell in grid}
     words = 0
     ok = True
-    for (n, q), count in budgeted.items():
-        for _ in range(count):
+    for n, q in grid:
+        for _ in range(70):
             w = tuple(rng.randrange(q) for _ in range(n))
             if not any(w):
                 continue

@@ -41,8 +41,7 @@ GRID = [(n, q) for n in (3, 5, 7, 9, 15, 17, 21, 31) for q in (2, 3, 5)
 @pytest.mark.parametrize("n,q", GRID)
 def test_roundtrip_random_words(n, q):
     rng = random.Random(n * 100 + q)
-    trials = 8 if (n, q) not in ((17, 3), (31, 3), (17, 5)) else 3
-    for _ in range(trials):
+    for _ in range(8):
         w = tuple(rng.randrange(q) for _ in range(n))
         if not any(w):
             continue
@@ -76,6 +75,58 @@ def test_inverse_matches_the_defining_sums(n, q):
         w = tuple(rng.randrange(q) for _ in range(n))
         msv = ms_forward(w, q, zeta)
         assert ms_inverse(msv, zeta) == _inverse_by_sums(msv, zeta) == w
+
+
+def _horner_at_powers(ctx, coeffs, z):
+    """The polynomial with these coefficients (lowest degree first) at
+    z^1, ..., z^n, Horner per point."""
+    values = []
+    point = ctx.one()
+    for _ in range(len(coeffs)):
+        point = ctx.mul(point, z)
+        acc = ctx.zero()
+        for c in reversed(coeffs):
+            acc = ctx.add(ctx.mul(acc, point), c)
+        values.append(acc)
+    return values
+
+
+# (n, q): F_2 tabled; odd p tabled, F_{5^3} and F_{5^6}; untabled F_{3^16},
+# F_{3^30} and F_{5^16}; prime-power bases; degree-1 contexts; n = 1; and
+# p = 2^31 - 1, where d*(p-1)^2 is near 2^62 and a sum of n such products
+# would wrap int64
+ORACLE_GRID = [(7, 2), (15, 2), (31, 2), (31, 5), (21, 5), (17, 3), (31, 3), (17, 5),
+               (5, 4), (13, 4), (7, 8), (8, 9), (10, 9), (4, 5), (6, 7), (1, 2), (1, 3),
+               (1, 9), (6, 2**31 - 1)]
+
+
+@pytest.mark.parametrize("n,q", ORACLE_GRID)
+def test_transform_matches_horner_oracle(n, q):
+    ctx = splitting_ctx(q, n)
+    root = nth_root_of_unity(ctx, n)
+    rng = random.Random(f"oracle/{n}/{q}")
+    units = [b for b in range(1, n + 1) if math.gcd(b, n) == 1]
+    for b in units[:1] + units[-1:]:  # the canonical root and its inverse
+        zeta = ctx.pow(root, b)
+        for w in [(q - 1,) * n, tuple(rng.randrange(q) for _ in range(n))]:
+            msv = ms_forward(w, q, zeta)
+            assert msv.values == tuple(_horner_at_powers(ctx, [ctx.embed_scalar(c) for c in w],
+                                                         zeta))
+            assert ms_inverse(msv, zeta) == _inverse_by_sums(msv, zeta) == w
+
+
+def test_zeta_must_be_a_primitive_root_of_the_length():
+    w = (1, 0, 1, 1, 0, 0, 0)
+    ctx = splitting_ctx(2, 7)
+    root15 = nth_root_of_unity(splitting_ctx(2, 15), 15)
+    cases = [(w, ctx.one()), (w, ctx.zero()),
+             ((1, 1) + (0,) * 13, root15 ** 3),  # order 5, not 15
+             (w, root15)]                         # another context
+    for word, zeta in cases:
+        with pytest.raises(DomainError):
+            ms_forward(word, 2, zeta)
+        with pytest.raises(DomainError):
+            ms_inverse(ms_forward(word, 2), zeta)
 
 
 def test_inverse_rejects_tampered_vector():
