@@ -314,19 +314,7 @@ def _scalar_ops(field: PrimePower) -> tuple:
 # exhaustive kernels
 
 
-def _gray_low_tables(rows, n, klo):
-    """Per-64-bit-slot cumulative-XOR tables of the low 2^klo Gray codewords."""
-    nslots = (n + 63) // 64
-    tables = []
-    for s in range(nslots):
-        f = np.zeros(1 << klo, np.uint64)
-        for b in range(klo):
-            f[(1 << b):: (1 << (b + 1))] = (rows[b] >> (64 * s)) & _WORD
-        tables.append(np.bitwise_xor.accumulate(f))
-    return tables
-
-
-def _block_min_weight(tables, hi_cw, skip_first):
+def _block_min_weight(tables, hi_cw):
     """Min weight of hi_cw XOR each tabled codeword (one table per 64-bit word)."""
     acc = None
     for s, tab in enumerate(tables):
@@ -336,41 +324,52 @@ def _block_min_weight(tables, hi_cw, skip_first):
             acc = cnt if len(tables) <= 3 else cnt.astype(np.uint16)
         else:
             acc += cnt
-    if skip_first:
-        acc = acc[1:]
     return int(acc.min())
 
 
 def _min_weight_q2(rows, n, stop_at):
     """Minimum weight over all nonzero messages of the binary rows, stopping
-    once it reaches stop_at; returns (best, messages done).  The codewords of
-    the low min(k, 16) rows are tabled, and a Gray walk over the high rows
-    XORs one row per step onto the whole table."""
+    once it reaches stop_at; returns (best, messages compared), as small as 1.
+    The codewords of the low min(k, 16) rows are tabled by doubling, row b
+    XORed onto the first 2^b entries, and each new half is checked as it is
+    built; a Gray walk over the high rows then XORs one row per step onto
+    the whole table."""
     k = len(rows)
     klo = min(k, 16)
-    tables = _gray_low_tables(rows, n, klo)
-    block = 1 << klo
-    best = _block_min_weight(tables, 0, True)
-    work = block - 1
+    tables = [np.zeros(1 << klo, np.uint64) for _ in range((n + 63) // 64)]
+    best = n + 1
+    work = 0
+    for b in range(klo):
+        half = slice(1 << b, 2 << b)
+        for s, tab in enumerate(tables):
+            tab[half] = tab[:1 << b] ^ np.uint64((rows[b] >> (64 * s)) & _WORD)
+        best = min(best, _block_min_weight([t[half] for t in tables], 0))
+        work += 1 << b
+        if best <= stop_at:
+            return best, work
     hi_cw = 0
     for h in range(1, 1 << (k - klo)):
+        hi_cw ^= rows[klo + ((h & -h).bit_length() - 1)]
+        best = min(best, _block_min_weight(tables, hi_cw))
+        work += 1 << klo
         if best <= stop_at:
             break
-        hi_cw ^= rows[klo + ((h & -h).bit_length() - 1)]
-        best = min(best, _block_min_weight(tables, hi_cw, False))
-        work += block
     return best, work
 
 
 def _min_weight_qp(rows, field: PrimePower, stop_at, budget):
-    """Exhaustive minimum weight over F_q, q > 2, blocked low tables.
+    """Exhaustive minimum weight over F_q, q > 2, blocked low tables; returns
+    (best, messages compared), stopping once best reaches stop_at.
 
-    A position of the shifted block vanishes iff the low-table entry equals
-    the negation of the high-part codeword there, so weights come from one
-    equality comparison instead of an add-and-reduce pass.  The table holds
-    scalar codes in the smallest unsigned type (one byte up to q = 256) and
-    is built one message digit at a time, each sum of two codes in a type
-    wide enough for it; products are formed in int64.
+    The low table of the first klo message digits is built one digit at a
+    time: row d * q^j + i is row i plus d * rows[j], and each new slab is
+    checked as it is built, so a code that meets stop_at early never fills
+    the table.  A position of a shifted block vanishes iff the low-table
+    entry equals the negation of the high-part codeword there, so weights
+    come from one equality comparison instead of an add-and-reduce pass.
+    The table holds scalar codes in the smallest unsigned type (one byte up
+    to q = 256), each sum of two codes formed in a type wide enough for it;
+    products are formed in int64.
     """
     k, n = rows.shape
     q = field.q
@@ -378,27 +377,26 @@ def _min_weight_qp(rows, field: PrimePower, stop_at, budget):
     klo = 1
     while q ** (klo + 1) <= (1 << 16) and klo < k:
         klo += 1
-    nlo = q**klo
     residue, wide = np.min_scalar_type(q - 1), np.min_scalar_type(2 * (q - 1))
-    lowtab = np.zeros((1, n), residue)
-    for j in range(klo):  # row d * q^j + i of the next table is row i plus d * rows[j]
-        multiples = dot(np.arange(q)[:, None], rows[j][None]).astype(wide)
-        lowtab = add(lowtab.astype(wide), multiples[:, None, :]).astype(residue).reshape(-1, n)
+    lowtab = np.zeros((q**klo, n), residue)
     best = n + 1
     work = 0
-    for hi in range(q ** (k - klo)):
-        if hi == 0:
-            zmax = int((lowtab[1:] == 0).sum(axis=1, dtype=np.int16).max())
-            work += nlo - 1
-        else:
-            hi_cw = dot(np.asarray(to_digits(hi, q, k - klo), np.int64), rows[klo:])
-            zmax = int((lowtab == neg(hi_cw).astype(residue)).sum(axis=1, dtype=np.int16).max())
-            work += nlo
-        w = n - zmax
-        if w < best:
-            best = w
-            if best <= stop_at:
-                break
+    for j in range(klo):
+        s = q**j
+        multiples = dot(np.arange(1, q)[:, None], rows[j][None]).astype(wide)
+        slab = lowtab[s:q * s]
+        slab[:] = add(lowtab[:s].astype(wide), multiples[:, None, :]).reshape(-1, n)
+        best = min(best, n - int((slab == 0).sum(axis=1, dtype=np.int16).max()))
+        work += (q - 1) * s
+        if best <= stop_at:
+            return best, work
+    for hi in range(1, q ** (k - klo)):
+        hi_cw = dot(np.asarray(to_digits(hi, q, k - klo), np.int64), rows[klo:])
+        zmax = int((lowtab == neg(hi_cw).astype(residue)).sum(axis=1, dtype=np.int16).max())
+        best = min(best, n - zmax)
+        work += q**klo
+        if best <= stop_at:
+            break
         if work > budget:
             raise InternalError("q-ary kernel exceeded its prechecked budget")
     return best, work
@@ -432,7 +430,7 @@ def _scan_weight_w_q2(rows, n, w):
         hi_cw = 0
         for i in outer:
             hi_cw ^= rows[i]
-        best = min(best, _block_min_weight([t[lo:] for t in tables], hi_cw, False))
+        best = min(best, _block_min_weight([t[lo:] for t in tables], hi_cw))
     return best
 
 

@@ -12,6 +12,7 @@ from uplab.asymptotics import construction_demo
 from uplab.gf import DomainError, PrimePower, to_digits
 from uplab.polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
 from uplab.cyclic import (DEFAULT_BUDGET, _ENUM_CAP_T, _PASS, CyclicCode, _bz_distance,
+                          _min_weight_q2, _min_weight_qp,
                           _orbit_key, _multiplier_reps, _strides, _systematic_rows, bch_bound,
                           enumerate_codes, ht_bound, min_distance, mu, strong_up_witness)
 
@@ -440,8 +441,10 @@ def test_qr17():
     assert ht_bound(qr.zeros, 17) == 5
 
 
-@pytest.mark.parametrize("n,q", [(7, 2), (15, 2), (17, 2), (8, 3), (13, 3),
-                                 (5, 4), (7, 8), (8, 9), (5, 16)])
+_KERNEL_GRID = [(7, 2), (15, 2), (17, 2), (8, 3), (13, 3), (5, 4), (7, 8), (8, 9), (5, 16)]
+
+
+@pytest.mark.parametrize("n,q", _KERNEL_GRID)
 def test_kernel_matches_reencoding_oracle(n, q):
     # the oracle's scalar products off a prime field are table lookups in
     # pure Python, so there it re-encodes at most 2^12 messages per code
@@ -536,13 +539,63 @@ def test_budget_never_aborts():
 
 @pytest.mark.parametrize("gen,dim,d,work", [
     ("10001110001", 21, 5, 2**21 - 1),  # the whole walk: every nonzero message
-    ("100101", 26, 3, 2**16 - 1),       # the low table alone reaches bch = 3
+    ("100101", 26, 3, 1),               # the first basis row already has weight bch = 3
 ])
 def test_gray_walk_past_the_low_table(gen, dim, d, work):
     # k > 16: the high rows are walked serially, and the work is exact
     code = CyclicCode.from_gen(31, 2, gen)
     r = min_distance(code)
     assert (code.dim, r.d, r.method, r.work) == (dim, d, "exhaustive", work)
+
+
+@pytest.mark.parametrize("n,q,gen,dim,bch,d,work", [
+    (31, 2, "1000000010001011", 16, 5, 5, 1),         # the first row has weight bch
+    (16, 3, "1000101", 10, 3, 3, 2),                  # the second row of the first slab
+    (31, 2, "1001000011000111", 16, 5, 7, 2**16 - 1),  # d > bch: every message
+    (16, 3, "10021121", 9, 4, 5, 3**9 - 1),           # and over F_3
+])
+def test_kernels_stop_inside_the_low_table(n, q, gen, dim, bch, d, work):
+    # the low table is checked as it is built, so a code meeting its bch
+    # bound stops at the first message that does; work counts the messages
+    code = CyclicCode.from_gen(n, q, gen)
+    rows = _systematic_rows(code)
+    kernel = (functools.partial(_min_weight_q2, rows, n) if q == 2
+              else functools.partial(_min_weight_qp, rows, code.field, budget=DEFAULT_BUDGET))
+    assert (code.dim, bch_bound(code.zeros, n)) == (dim, bch)
+    assert kernel(stop_at=bch) == (d, work)
+    assert min_distance(code).work == work
+
+
+def test_kernels_stop_inside_the_high_walk():
+    # rows of weight 2 (a unit vector plus a shared last position) make every
+    # low-table codeword weigh at least 2; the weight-1 row is the first high
+    # row, so stop_at 1 ends the walk after one block past the low table
+    n = 40
+    heavy = [1 << i | 1 << (n - 1) for i in range(17)]
+    rows = heavy[:16] + [1 << 20] + heavy[16:]
+    assert _min_weight_q2(rows, n, 1) == (1, 2**17 - 1)
+    assert _min_weight_q2(rows, n, 0) == (1, 2**18 - 1)
+    field = PrimePower.of(3)  # 3^10 low messages, then the high digits
+    rows = np.zeros((12, n), np.int64)
+    rows[np.arange(12), np.arange(12)] = 1
+    rows[:, n - 1] = 1
+    rows[10] = 0
+    rows[10, 20] = 2
+    assert _min_weight_qp(rows, field, 1, DEFAULT_BUDGET) == (1, 2 * 3**10 - 1)
+    assert _min_weight_qp(rows, field, 0, DEFAULT_BUDGET) == (1, 3**12 - 1)
+
+
+@pytest.mark.parametrize("n,q", _KERNEL_GRID)
+def test_kernel_work_is_every_message_past_bch(n, q):
+    # a code whose distance exceeds its bch bound can stop nowhere early
+    cap = 1 << 16 if PrimePower.of(q).e == 1 else 1 << 12
+    for code in enumerate_codes(n, q):
+        if code.q**code.dim > cap:
+            continue
+        r = min_distance(code)
+        assert 1 <= r.work <= code.q**code.dim - 1, code
+        if r.d > bch_bound(code.zeros, n):
+            assert r.work == code.q**code.dim - 1, code
 
 
 def test_no_positional_workers():
