@@ -37,8 +37,8 @@ for p in (7, 23, 47):
     print(f"  p={p}: branch={rep.branch}, witness generator {rep.witness.gen_string()!r}, "
           f"dim {rep.witness.dim}")
 
-# past the exhaustive budget the window-deepening tier takes over: dimensions
-# 35+ close through certified low-weight rounds instead of full enumeration
+# every binary distance comes from the window-deepening tier: dimensions 35+
+# close through certified low-weight rounds instead of full enumeration
 print("\nextended tier (deepening windows):")
 for p, expected in ((71, 47), (73, 37)):
     t0 = time.time()

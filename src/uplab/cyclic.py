@@ -1,15 +1,17 @@
 """Cyclic codes of length n over F_q: the ideals of F_q[x]/(x^n - 1).
 
 Provides enumeration of every code of a given length, the BCH and
-Hartmann-Tzeng designed-distance bounds, exact minimum distance (packed
-Gray-code enumeration, with an information-set deepening fallback for
-dimensions beyond the budget), and the invariant
+Hartmann-Tzeng designed-distance bounds, exact minimum distance, and the
+invariant
 
     mu(q, n) = min over nonzero codes of (minimum distance + dimension).
 
-Both distance tiers enumerate messages in the systematic basis on columns
+Every binary distance comes from information-set deepening over messages of
+weight 1, 2, ...; over F_q, q > 2, an exhaustive kernel with blocked low
+tables takes the codes with q^dim within the budget and the deepening tier
+the rest.  Both enumerate messages in the systematic basis on columns
 0..k-1, read off the remainders x^(n-k+i) mod g with no elimination.  Two
-facts about cyclic codes keep the fallback cheap.  Every k cyclically
+facts about cyclic codes keep the deepening cheap.  Every k cyclically
 consecutive coordinates form an information set, so one systematic basis
 certifies a bound over all n windows at once.  And a unit u mod n maps the
 code with zero set Z onto the code with zero set uZ (x -> x^u permutes
@@ -98,7 +100,7 @@ class DistanceResult:
     lower: int
     upper: int
     exact: bool
-    method: str  # exhaustive | bz | bch_only
+    method: str  # exhaustive (q > 2 only) | bz | bch_only
     work: int
 
     @property
@@ -311,50 +313,7 @@ def _scalar_ops(field: PrimePower) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive kernels
-
-
-def _block_min_weight(tables, hi_cw):
-    """Min weight of hi_cw XOR each tabled codeword (one table per 64-bit word)."""
-    acc = None
-    for s, tab in enumerate(tables):
-        part = tab if hi_cw == 0 else tab ^ np.uint64((hi_cw >> (64 * s)) & _WORD)
-        cnt = np.bitwise_count(part)
-        if acc is None:  # one byte per count holds weights below 256, so up to 3 words
-            acc = cnt if len(tables) <= 3 else cnt.astype(np.uint16)
-        else:
-            acc += cnt
-    return int(acc.min())
-
-
-def _min_weight_q2(rows, n, stop_at):
-    """Minimum weight over all nonzero messages of the binary rows, stopping
-    once it reaches stop_at; returns (best, messages compared), as small as 1.
-    The codewords of the low min(k, 16) rows are tabled by doubling, row b
-    XORed onto the first 2^b entries, and each new half is checked as it is
-    built; a Gray walk over the high rows then XORs one row per step onto
-    the whole table."""
-    k = len(rows)
-    klo = min(k, 16)
-    tables = [np.zeros(1 << klo, np.uint64) for _ in range((n + 63) // 64)]
-    best = n + 1
-    work = 0
-    for b in range(klo):
-        half = slice(1 << b, 2 << b)
-        for s, tab in enumerate(tables):
-            tab[half] = tab[:1 << b] ^ np.uint64((rows[b] >> (64 * s)) & _WORD)
-        best = min(best, _block_min_weight([t[half] for t in tables], 0))
-        work += 1 << b
-        if best <= stop_at:
-            return best, work
-    hi_cw = 0
-    for h in range(1, 1 << (k - klo)):
-        hi_cw ^= rows[klo + ((h & -h).bit_length() - 1)]
-        best = min(best, _block_min_weight(tables, hi_cw))
-        work += 1 << klo
-        if best <= stop_at:
-            break
-    return best, work
+# the exhaustive kernel over F_q, q > 2
 
 
 def _min_weight_qp(rows, field: PrimePower, stop_at, budget):
@@ -403,7 +362,20 @@ def _min_weight_qp(rows, field: PrimePower, stop_at, budget):
 
 
 # ---------------------------------------------------------------------------
-# information-set deepening (dimension beyond the exhaustive budget)
+# information-set deepening (every binary code; q^dim beyond the budget for q > 2)
+
+
+def _block_min_weight(tables, hi_cw):
+    """Min weight of hi_cw XOR each tabled codeword (one table per 64-bit word)."""
+    acc = None
+    for s, tab in enumerate(tables):
+        part = tab if hi_cw == 0 else tab ^ np.uint64((hi_cw >> (64 * s)) & _WORD)
+        cnt = np.bitwise_count(part)
+        if acc is None:  # one byte per count holds weights below 256, so up to 3 words
+            acc = cnt if len(tables) <= 3 else cnt.astype(np.uint16)
+        else:
+            acc += cnt
+    return int(acc.min())
 
 
 def _scan_weight_w_q2(rows, n, w):
@@ -468,7 +440,9 @@ def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
     of weight <= w are covered, a minimum-weight codeword not yet seen has
     more than w nonzeros in each of its n cyclic windows; each coordinate
     lies in k windows, so its weight is at least ceil(n(w+1)/k).  The
-    certified lower bound is min(upper, max(bch, that)).
+    certified lower bound is max(bch, that), and the bracket closes once it
+    reaches the lightest codeword seen; a codeword lighter than bch is an
+    error.  Run to w = k, the rounds cover all q^k - 1 messages up to scalars.
 
     A target stops the deepening once the certified lower bound reaches it
     (the caller has established the code cannot matter past that point)."""
@@ -478,7 +452,9 @@ def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
     work = k
     w = 1  # every message of weight <= w has been seen
     while True:
-        lower = min(upper, max(bch_lower, -(-n * (w + 1) // k)))
+        if upper < bch_lower:
+            raise InternalError(f"designed-distance bound {bch_lower} exceeds true distance {upper}")
+        lower = max(bch_lower, -(-n * (w + 1) // k))
         if lower >= upper or w >= k:
             return DistanceResult(upper, upper, True, "bz", work)
         if target is not None and lower >= target:
@@ -500,9 +476,14 @@ def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
 
 def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
                  lower_target: int | None = None, cache=None) -> DistanceResult:
-    """Exact minimum distance when q^dim fits the budget, else the deepening
-    tier, which returns exact if its bracket closes and a bracket otherwise.
-    lower_target lets a caller accept any certified bound reaching it.
+    """Exact minimum distance, or a certified bracket under the budget.
+
+    Every binary code, and every code over F_q, q > 2, whose q^dim exceeds
+    the budget, goes to the deepening tier, which returns exact if its
+    bracket closes and a bracket otherwise; its rounds sum to 2^dim - 1
+    messages, so a binary code with 2^dim within the budget is exact unless
+    lower_target stops it early.  The other q-ary codes run the exhaustive
+    kernel.  lower_target lets a caller accept any certified bound reaching it.
 
     The budget bounds the enumeration only: the deepening tier charges its k
     basis rows as work before it checks the budget, so a small budget can
@@ -511,7 +492,7 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     A cache (cache.get(code) -> exact result with work 0, or None;
     cache.put(code, result)) answers before any work and receives every exact
     result computed here."""
-    k, n, q = code.dim, code.n, code.q
+    k, q = code.dim, code.q
     lower = code._bch
     if k == 0:
         raise DomainError("zero code has no distance")
@@ -519,17 +500,13 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
         hit = cache.get(code)
         if hit is not None:
             return hit
-    if q**k <= budget:
-        rows = _systematic_rows(code)
-        if q == 2:
-            best, work = _min_weight_q2(rows, n, lower)
-        else:
-            best, work = _min_weight_qp(rows, code.field, lower, budget)
+    if q == 2 or q**k > budget:
+        res = _bz_distance(code, lower, budget, lower_target)
+    else:
+        best, work = _min_weight_qp(_systematic_rows(code), code.field, lower, budget)
         if best < lower:
             raise InternalError(f"designed-distance bound {lower} exceeds true distance {best}")
         res = DistanceResult(best, best, True, "exhaustive", work)
-    else:
-        res = _bz_distance(code, lower, budget, lower_target)
     if cache is not None and res.exact:
         cache.put(code, res)
     return res
@@ -566,9 +543,9 @@ def mu(n: int, q, budget: int = DEFAULT_BUDGET, *, cache=None) -> MuRecord:
     reps = _multiplier_reps(n, field.q)
     results = [None] * len(codes)
     orbit_results = {}
-    best = None  # (sum, position in processing order)
+    best = None  # (sum, code index) of the first exact minimiser
     inexact = []
-    for pos, i in enumerate(order):
+    for i in order:
         code = codes[i]
         b = code._bch
         if best is not None and code.dim + b >= best[0]:
@@ -587,15 +564,15 @@ def mu(n: int, q, budget: int = DEFAULT_BUDGET, *, cache=None) -> MuRecord:
         if res.exact:
             s = code.dim + res.lower
             if best is None or s < best[0]:
-                best = (s, pos, i)
+                best = (s, i)
         else:
-            inexact.append((code.dim + res.lower, i))
+            inexact.append(code.dim + res.lower)
     if best is None:
         raise InternalError("no exact distance among divisors; budget too small to start")
     mu_upper = best[0]
-    mu_lower = min([mu_upper] + [s for s, _ in inexact])
+    mu_lower = min([mu_upper] + inexact)
     exact = mu_lower == mu_upper
-    witness = codes[best[2]]
+    witness = codes[best[1]]
     return MuRecord(field.q, n, mu_lower, mu_upper, exact, witness,
                     tuple((codes[i], results[i]) for i in range(len(codes))))
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -9,12 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from uplab.cli import Cache
 from uplab.asymptotics import construction_demo
-from uplab.gf import DomainError, PrimePower, to_digits
+from uplab.gf import DomainError, InternalError, PrimePower, from_digits, to_digits
 from uplab.polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
 from uplab.cyclic import (DEFAULT_BUDGET, _ENUM_CAP_T, _PASS, CyclicCode, _bz_distance,
-                          _min_weight_q2, _min_weight_qp,
-                          _orbit_key, _multiplier_reps, _strides, _systematic_rows, bch_bound,
-                          enumerate_codes, ht_bound, min_distance, mu, strong_up_witness)
+                          _min_weight_qp, _orbit_key, _multiplier_reps, _scan_weight_w_q2,
+                          _strides, _systematic_rows, bch_bound, enumerate_codes, ht_bound,
+                          min_distance, mu, strong_up_witness)
 
 # deterministic property tests that leave no example database behind
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -86,6 +87,30 @@ def distance_oracle(code):
                         cw[j] = field.sadd(cw[j], field.smul(m, row[j]))
         best = min(best, sum(1 for c in cw if c))
     return best
+
+
+def binary_distance_oracle(code):
+    """Tabulate all 2^k codewords of a binary code by doubling over the
+    shifted-generator rows x^i g, then take the least nonzero popcount."""
+    g = from_digits(code.gen.coeffs, 2)
+    table = np.zeros(1, np.uint64)
+    for i in range(code.dim):
+        table = np.concatenate([table, table ^ np.uint64(g << i)])
+    return int(np.bitwise_count(table[1:]).min())
+
+
+def parity_check_oracle(code):
+    """The fewest positions j whose syndromes x^j mod g sum to 0, for binary
+    codes of small codimension, where 2^k codewords are too many to table."""
+    g, m = from_digits(code.gen.coeffs, 2), code.gen.degree
+    cols, r = [], 1
+    for _ in range(code.n):
+        if r >> m & 1:
+            r ^= g
+        cols.append(r)
+        r <<= 1
+    return next(w for w in range(1, code.n + 1) for s in itertools.combinations(cols, w)
+                if functools.reduce(operator.xor, s) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +450,7 @@ def test_hamming_code():
     code = CyclicCode.from_gen(7, 2, "1101")
     r = min_distance(code)
     assert (r.lower, r.upper, r.exact) == (3, 3, True)
-    assert r.method == "exhaustive"
+    assert r.method == "bz"
 
 
 def test_repetition_code():
@@ -463,19 +488,41 @@ def test_bz_bracket_and_convergence():
     assert r.lower <= 5 <= r.upper
     r = min_distance(qr, budget=100)  # ceil(17 * 3 / 9) = 6 closes it at weight 2
     assert r.exact and r.method == "bz" and r.d == 5
-    c29 = [c for c in enumerate_codes(43, 2) if c.dim == 29][0]
-    r = min_distance(c29)  # 2^29 exceeds the default budget; deepening closes it
+    codes = enumerate_codes(43, 2)
+    c29 = [c for c in codes if c.dim == 29][0]
+    r = min_distance(c29)
     assert r.exact and r.method == "bz"
-    # dual route: the exhaustive kernel at a raised budget must agree
-    full = min_distance(c29, budget=1 << 30)
-    assert full.method == "exhaustive" and full.d == r.d
+    # dual route: 2^29 codewords are too many to tabulate, so deepen on an
+    # equivalent code uZ, whose systematic basis differs
+    twin = next(c for c in codes if c.dim == 29 and c.zeros != c29.zeros)
+    assert _orbit_key(twin.zeros, 43, _multiplier_reps(43, 2)) == \
+        _orbit_key(c29.zeros, 43, _multiplier_reps(43, 2))
+    assert _systematic_rows(twin) != _systematic_rows(c29)
+    again = min_distance(twin)
+    assert again.exact and again.d == r.d
 
 
 @pytest.mark.parametrize("n,q", [(n, 2) for n in range(1, 32, 2)]
                          + [(n, 3) for n in range(1, 17) if n % 3]
                          + [(n, 4) for n in range(1, 16, 2)] + [(7, 8), (9, 8), (8, 9), (10, 9)])
 def test_bz_matches_exhaustive(n, q):
-    # the deepening tier run to completion against the exhaustive kernel
+    # binary: every code is exact from min_distance at the default budget and
+    # matches the tabulated codewords, or, past 2^22 of them, the deepening
+    # on an equivalent code uZ and the fewest dependent parity-check columns
+    if q == 2:
+        codes = enumerate_codes(n, q)
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        for code in codes:
+            r = min_distance(code)
+            assert r.exact and r.method == "bz", code
+            if code.dim <= 22:
+                assert r.d == binary_distance_oracle(code), code
+                continue
+            images = {tuple(sorted(u * z % n for z in code.zeros)) for u in units}
+            twin = next(c for c in codes if c.zeros == max(images - {code.zeros}, default=code.zeros))
+            assert min_distance(twin).d == r.d == parity_check_oracle(code), code
+        return
+    # q > 2: the deepening tier run to completion against the exhaustive kernel
     for code in enumerate_codes(n, q):
         full = min_distance(code, budget=1 << 40)
         assert full.method == "exhaustive"
@@ -524,8 +571,30 @@ def test_distance_invariant_under_multipliers(case, pick, unit):
     assert min_distance(twin).d == min_distance(code).d
 
 
-def test_gray_kernel_weights_past_one_byte():
-    # five 64-bit words; the per-word counts must not wrap at 256
+@PROPERTY
+@given(st.integers(1, 9), st.sampled_from([5, 64, 65, 130]), st.integers(0, 2**64))
+def test_scan_weight_w_q2_is_the_least_weight_w_combination(k, n, seed):
+    # any rows, not only a cyclic basis, so no weight-w message can hide
+    # behind a shift of another codeword
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(n) for _ in range(k)]
+    for w in range(1, k + 1):
+        expected = min(functools.reduce(operator.xor, c).bit_count()
+                       for c in itertools.combinations(rows, w))
+        assert _scan_weight_w_q2(rows, n, w) == expected, (w, rows)
+
+
+def test_block_min_weight_past_one_byte():
+    # rows of 604 bits (ten 64-bit words) over disjoint blocks of 150 ones, so
+    # every weight-w message weighs 151 w > 255: the per-word counts must
+    # accumulate in uint16, not wrap at 256
+    k, block = 4, 150
+    n = k * (block + 1)
+    rows = [1 << i | ((1 << block) - 1) << (k + i * block) for i in range(k)]
+    for w in range(2, k + 1):  # w = 4 XORs one outer row onto the table
+        expected = min(functools.reduce(operator.xor, c).bit_count()
+                       for c in itertools.combinations(rows, w))
+        assert _scan_weight_w_q2(rows, n, w) == expected == (block + 1) * w
     rep = CyclicCode.from_gen(257, 2, "1" * 257)
     assert rep.dim == 1 and min_distance(rep).d == 257
 
@@ -537,44 +606,49 @@ def test_budget_never_aborts():
     assert not r.exact or r.lower == r.upper
 
 
-@pytest.mark.parametrize("gen,dim,d,work", [
-    ("10001110001", 21, 5, 2**21 - 1),  # the whole walk: every nonzero message
-    ("100101", 26, 3, 1),               # the first basis row already has weight bch = 3
+@pytest.mark.parametrize("gen,dim,bch,d", [
+    ("10001110001", 21, 4, 5),
+    ("100101", 26, 3, 3),
+    ("1000000010001011", 16, 5, 5),
+    ("1001000011000111", 16, 5, 7),
 ])
-def test_gray_walk_past_the_low_table(gen, dim, d, work):
-    # k > 16: the high rows are walked serially, and the work is exact
+def test_binary_distance_pins(gen, dim, bch, d):
     code = CyclicCode.from_gen(31, 2, gen)
     r = min_distance(code)
-    assert (code.dim, r.d, r.method, r.work) == (dim, d, "exhaustive", work)
+    assert (code.dim, code._bch, r.d, r.method) == (dim, bch, d, "bz")
+
+
+def test_bz_refuses_a_codeword_below_the_bch_bound():
+    # the Hamming code has weight-3 rows: a claimed bound of 4 is a fault
+    code = CyclicCode.from_gen(7, 2, "1101")
+    assert _bz_distance(code, 3, DEFAULT_BUDGET).d == 3
+    with pytest.raises(InternalError, match="bound 4 exceeds true distance 3"):
+        _bz_distance(code, 4, DEFAULT_BUDGET)
+    # over F_3 too, where every row of the [13, 10] code weighs at most 4
+    code = CyclicCode.from_gen(13, 3, "2111")
+    with pytest.raises(InternalError, match="exceeds true distance"):
+        _bz_distance(code, 5, DEFAULT_BUDGET)
 
 
 @pytest.mark.parametrize("n,q,gen,dim,bch,d,work", [
-    (31, 2, "1000000010001011", 16, 5, 5, 1),         # the first row has weight bch
     (16, 3, "1000101", 10, 3, 3, 2),                  # the second row of the first slab
-    (31, 2, "1001000011000111", 16, 5, 7, 2**16 - 1),  # d > bch: every message
-    (16, 3, "10021121", 9, 4, 5, 3**9 - 1),           # and over F_3
+    (16, 3, "10021121", 9, 4, 5, 3**9 - 1),           # d > bch: every message
 ])
 def test_kernels_stop_inside_the_low_table(n, q, gen, dim, bch, d, work):
     # the low table is checked as it is built, so a code meeting its bch
     # bound stops at the first message that does; work counts the messages
     code = CyclicCode.from_gen(n, q, gen)
     rows = _systematic_rows(code)
-    kernel = (functools.partial(_min_weight_q2, rows, n) if q == 2
-              else functools.partial(_min_weight_qp, rows, code.field, budget=DEFAULT_BUDGET))
     assert (code.dim, bch_bound(code.zeros, n)) == (dim, bch)
-    assert kernel(stop_at=bch) == (d, work)
+    assert _min_weight_qp(rows, code.field, bch, DEFAULT_BUDGET) == (d, work)
     assert min_distance(code).work == work
 
 
 def test_kernels_stop_inside_the_high_walk():
     # rows of weight 2 (a unit vector plus a shared last position) make every
     # low-table codeword weigh at least 2; the weight-1 row is the first high
-    # row, so stop_at 1 ends the walk after one block past the low table
+    # digit, so stop_at 1 ends the walk after one block past the low table
     n = 40
-    heavy = [1 << i | 1 << (n - 1) for i in range(17)]
-    rows = heavy[:16] + [1 << 20] + heavy[16:]
-    assert _min_weight_q2(rows, n, 1) == (1, 2**17 - 1)
-    assert _min_weight_q2(rows, n, 0) == (1, 2**18 - 1)
     field = PrimePower.of(3)  # 3^10 low messages, then the high digits
     rows = np.zeros((12, n), np.int64)
     rows[np.arange(12), np.arange(12)] = 1
@@ -585,7 +659,7 @@ def test_kernels_stop_inside_the_high_walk():
     assert _min_weight_qp(rows, field, 0, DEFAULT_BUDGET) == (1, 3**12 - 1)
 
 
-@pytest.mark.parametrize("n,q", _KERNEL_GRID)
+@pytest.mark.parametrize("n,q", [(n, q) for n, q in _KERNEL_GRID if q > 2])
 def test_kernel_work_is_every_message_past_bch(n, q):
     # a code whose distance exceeds its bch bound can stop nowhere early
     cap = 1 << 16 if PrimePower.of(q).e == 1 else 1 << 12
@@ -675,9 +749,10 @@ def test_mu_cache_reuse():
     assert reused and all(r.work == 0 for r in reused)
 
 
-# q^n <= DEFAULT_BUDGET at each of these lengths, so every code, whatever its
-# dimension, gets the exhaustive kernel and an exact distance: a cached
-# result is the one a fresh computation gives, with work 0
+# at each of these lengths every divisor mu computes comes back exact, with
+# or without the target mu passes (the test asserts it), so a cached result
+# is the one a fresh computation gives, with work 0; mu(31, 2) below has
+# target brackets
 _CACHE_CASES = [(7, 2), (9, 2), (15, 2), (17, 2), (21, 2), (23, 2),
                 (8, 3), (10, 3), (11, 3), (13, 3), (6, 5), (5, 4)]
 
@@ -697,7 +772,8 @@ def _cacheless_mu(n, q):
                 max_size=6),
        st.sampled_from(_CACHE_CASES))
 def test_mu_records_do_not_depend_on_cache_history(earlier, case):
-    assert all(q**n <= DEFAULT_BUDGET for n, q in _CACHE_CASES)
+    assert not any(method == "bz" and lower < upper
+                   for n, q in _CACHE_CASES for _, lower, upper, method in _cacheless_mu(n, q)[4])
     cache = Cache(None)  # in memory only
     for (n, q), pick in earlier:
         if pick is None:
@@ -712,6 +788,27 @@ def test_mu_records_do_not_depend_on_cache_history(earlier, case):
     for code, res in rec.per_divisor:
         if (q, n, code.gen_string()) in cached:
             assert res.work == 0
+
+
+def test_mu_31_with_exact_results_cached_where_it_brackets():
+    # a fresh run stops nine dim-11 divisors at a target bracket; a cache
+    # primed with every exact distance answers them instead.  mu, its bracket
+    # and the witness stay; each differing record was a bracket that cannot
+    # lower mu and is now exact with work 0
+    fresh = mu(31, 2)
+    cache = Cache(None)  # in memory only
+    for code in enumerate_codes(31, 2):
+        min_distance(code, cache=cache)
+    cached = mu(31, 2, cache=cache)
+    assert _mu_summary(cached)[:4] == _mu_summary(fresh)[:4] == (20, 20, True, fresh.witness.gen_string())
+    # compare results, not work: a cache hit sets work to 0 on any record
+    differ = [(code, a, b) for (code, a), (_, b) in zip(fresh.per_divisor, cached.per_divisor)
+              if (a.lower, a.upper, a.exact) != (b.lower, b.upper, b.exact)]
+    assert len(differ) == 9 and {code.dim for code, _, _ in differ} == {11}
+    for code, a, b in differ:
+        assert (a.method, a.exact) == ("bz", False) and code.dim + a.lower >= fresh.mu
+        assert b.exact and b.work == 0 and a.lower <= b.d <= a.upper
+        assert b.d == binary_distance_oracle(code)
 
 
 @pytest.mark.slow
