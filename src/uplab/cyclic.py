@@ -6,16 +6,16 @@ invariant
 
     mu(q, n) = min over nonzero codes of (minimum distance + dimension).
 
-Every binary distance comes from information-set deepening over messages of
-weight 1, 2, ...; over F_q, q > 2, an exhaustive kernel with blocked low
-tables takes the codes with q^dim within the budget and the deepening tier
-the rest.  Both enumerate messages in the systematic basis on columns
-0..k-1, read off the remainders x^(n-k+i) mod g with no elimination.  Two
-facts about cyclic codes keep the deepening cheap.  Every k cyclically
-consecutive coordinates form an information set, so one systematic basis
-certifies a bound over all n windows at once.  And a unit u mod n maps the
-code with zero set Z onto the code with zero set uZ (x -> x^u permutes
-coordinates), so mu computes one distance per multiplier orbit.
+Distances come from information-set deepening over messages of weight
+1, 2, ...; only a code over F_q, q > 2, whose q^dim messages fit one table
+of 2^16 (and the budget) runs an exhaustive kernel instead.  Both enumerate
+messages in the systematic basis on columns 0..k-1, read off the remainders
+x^(n-k+i) mod g with no elimination.  Two facts about cyclic codes keep the
+deepening cheap.  Every k cyclically consecutive coordinates form an
+information set, so one systematic basis certifies a bound over all n
+windows at once.  And a unit u mod n maps the code with zero set Z onto the
+code with zero set uZ (x -> x^u permutes coordinates), so mu computes one
+distance per multiplier orbit.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf import DomainError, InternalError, PrimePower, _scalar_tables, from_digits, to_digits
+from .gf import DomainError, InternalError, PrimePower, _scalar_tables, from_digits
 from .polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
 
 DEFAULT_BUDGET = 1 << 28
+_TABLE = 1 << 16  # messages the q-ary exhaustive kernel tables: its codes have q^dim within it
 _WORD = 0xFFFFFFFFFFFFFFFF
 _BLOCK = 1 << 20  # array entries per vectorised pass in the deepening scans
 _PASS = 1 << 14  # array entries per vectorised pass in the designed-distance bounds
@@ -90,7 +91,7 @@ class CyclicCode:
         return bch_bound(self.zeros, self.n)
 
     def __repr__(self):
-        return f"CyclicCode([{self.n},{self.dim}] over F_{self.q}, gen={self.gen_string()!r})"
+        return f"CyclicCode([{self.n},{self.dim}] over F_{self.q}, gen={self.gen._label()!r})"
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class DistanceResult:
     lower: int
     upper: int
     exact: bool
-    method: str  # exhaustive (q > 2 only) | bz | bch_only
+    method: str  # exhaustive (q > 2, q^dim <= 2^16 only) | bz | bch_only
     work: int
 
     @property
@@ -316,53 +317,39 @@ def _scalar_ops(field: PrimePower) -> tuple:
 # the exhaustive kernel over F_q, q > 2
 
 
-def _min_weight_qp(rows, field: PrimePower, stop_at, budget):
-    """Exhaustive minimum weight over F_q, q > 2, blocked low tables; returns
-    (best, messages compared), stopping once best reaches stop_at.
+def _min_weight_qp(rows, field: PrimePower, stop_at):
+    """Exhaustive minimum weight over F_q, q > 2, of a code with q^k within
+    _TABLE messages; returns (best, messages compared), stopping once best
+    reaches stop_at.
 
-    The low table of the first klo message digits is built one digit at a
-    time: row d * q^j + i is row i plus d * rows[j], and each new slab is
-    checked as it is built, so a code that meets stop_at early never fills
-    the table.  A position of a shifted block vanishes iff the low-table
-    entry equals the negation of the high-part codeword there, so weights
-    come from one equality comparison instead of an add-and-reduce pass.
-    The table holds scalar codes in the smallest unsigned type (one byte up
-    to q = 256), each sum of two codes formed in a type wide enough for it;
+    The table of all q^k messages is built one digit at a time: row
+    d * q^j + i is row i plus d * rows[j], and each new slab is checked as it
+    is built, so a code that meets stop_at early never fills the table.  The
+    table holds scalar codes in the smallest unsigned type (one byte up to
+    q = 256), each sum of two codes formed in a type wide enough for it;
     products are formed in int64.
     """
     k, n = rows.shape
     q = field.q
-    add, neg, dot = _scalar_ops(field)
-    klo = 1
-    while q ** (klo + 1) <= (1 << 16) and klo < k:
-        klo += 1
+    add, _, dot = _scalar_ops(field)
     residue, wide = np.min_scalar_type(q - 1), np.min_scalar_type(2 * (q - 1))
-    lowtab = np.zeros((q**klo, n), residue)
+    table = np.zeros((q**k, n), residue)
     best = n + 1
     work = 0
-    for j in range(klo):
+    for j in range(k):
         s = q**j
         multiples = dot(np.arange(1, q)[:, None], rows[j][None]).astype(wide)
-        slab = lowtab[s:q * s]
-        slab[:] = add(lowtab[:s].astype(wide), multiples[:, None, :]).reshape(-1, n)
+        slab = table[s:q * s]
+        slab[:] = add(table[:s].astype(wide), multiples[:, None, :]).reshape(-1, n)
         best = min(best, n - int((slab == 0).sum(axis=1, dtype=np.int16).max()))
         work += (q - 1) * s
         if best <= stop_at:
-            return best, work
-    for hi in range(1, q ** (k - klo)):
-        hi_cw = dot(np.asarray(to_digits(hi, q, k - klo), np.int64), rows[klo:])
-        zmax = int((lowtab == neg(hi_cw).astype(residue)).sum(axis=1, dtype=np.int16).max())
-        best = min(best, n - zmax)
-        work += q**klo
-        if best <= stop_at:
             break
-        if work > budget:
-            raise InternalError("q-ary kernel exceeded its prechecked budget")
     return best, work
 
 
 # ---------------------------------------------------------------------------
-# information-set deepening (every binary code; q^dim beyond the budget for q > 2)
+# information-set deepening (every code but the q-ary ones of one table)
 
 
 def _block_min_weight(tables, hi_cw):
@@ -478,12 +465,12 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
                  lower_target: int | None = None, cache=None) -> DistanceResult:
     """Exact minimum distance, or a certified bracket under the budget.
 
-    Every binary code, and every code over F_q, q > 2, whose q^dim exceeds
-    the budget, goes to the deepening tier, which returns exact if its
-    bracket closes and a bracket otherwise; its rounds sum to 2^dim - 1
-    messages, so a binary code with 2^dim within the budget is exact unless
-    lower_target stops it early.  The other q-ary codes run the exhaustive
-    kernel.  lower_target lets a caller accept any certified bound reaching it.
+    A code over F_q, q > 2, with q^dim within min(budget, _TABLE) runs the
+    exhaustive kernel.  Every other code goes to the deepening tier, which
+    returns exact if its bracket closes and a bracket otherwise; its rounds
+    sum to (q^dim - 1)/(q - 1) messages, one per scalar class, so a code
+    with q^dim within the budget is exact unless lower_target stops it
+    early.  lower_target lets a caller accept any certified bound reaching it.
 
     The budget bounds the enumeration only: the deepening tier charges its k
     basis rows as work before it checks the budget, so a small budget can
@@ -500,10 +487,10 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
         hit = cache.get(code)
         if hit is not None:
             return hit
-    if q == 2 or q**k > budget:
+    if q == 2 or q**k > min(budget, _TABLE):
         res = _bz_distance(code, lower, budget, lower_target)
     else:
-        best, work = _min_weight_qp(_systematic_rows(code), code.field, lower, budget)
+        best, work = _min_weight_qp(_systematic_rows(code), code.field, lower)
         if best < lower:
             raise InternalError(f"designed-distance bound {lower} exceeds true distance {best}")
         res = DistanceResult(best, best, True, "exhaustive", work)

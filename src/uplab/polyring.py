@@ -163,8 +163,13 @@ class FPoly:
             return self
         return self * self.field.sinv(lead)
 
+    def _label(self):
+        """The digit string, or past q = 36 the coefficient tuple, so that a
+        repr never raises."""
+        return self.to_string() if self.field.q <= len(_ALPHABET) else self.coeffs
+
     def __repr__(self):
-        return f"FPoly(q={self.field.q}, {self.to_string()!r})"
+        return f"FPoly(q={self.field.q}, {self._label()!r})"
 
 
 def poly_gcd(a: FPoly, b: FPoly) -> FPoly:

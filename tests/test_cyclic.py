@@ -12,10 +12,10 @@ from uplab.cli import Cache
 from uplab.asymptotics import construction_demo
 from uplab.gf import DomainError, InternalError, PrimePower, from_digits, to_digits
 from uplab.polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
-from uplab.cyclic import (DEFAULT_BUDGET, _ENUM_CAP_T, _PASS, CyclicCode, _bz_distance,
-                          _min_weight_qp, _orbit_key, _multiplier_reps, _scan_weight_w_q2,
-                          _strides, _systematic_rows, bch_bound, enumerate_codes, ht_bound,
-                          min_distance, mu, strong_up_witness)
+from uplab.cyclic import (DEFAULT_BUDGET, _ENUM_CAP_T, _PASS, _TABLE, CyclicCode, DistanceResult,
+                          _bz_distance, _min_weight_qp, _orbit_key, _multiplier_reps,
+                          _scan_weight_w_q2, _strides, _systematic_rows, bch_bound,
+                          enumerate_codes, ht_bound, min_distance, mu, strong_up_witness)
 
 # deterministic property tests that leave no example database behind
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -113,6 +113,35 @@ def parity_check_oracle(code):
                 if functools.reduce(operator.xor, s) == 0)
 
 
+def macwilliams_distance_oracle(code):
+    """d from the MacWilliams identity (MacWilliams-Sloane, ch. 5), for q-ary
+    codes of small codimension, with neither distance tier: tabulate the
+    q^(n-k) words of the dual, generated by the reciprocal of
+    h = (x^n - 1)/g, one digit at a time; then
+    A_w = q^-(n-k) sum_i B_i K_w(i) in exact integers, with the dual's weight
+    distribution B and the Krawtchouk polynomials K_w."""
+    n, k, field = code.n, code.dim, code.field
+    q, m = field.q, n - k
+    h_rec = (xn_minus_1(field, n) // code.gen).coeffs[::-1]
+    add = np.array([[field.sadd(a, b) for b in range(q)] for a in range(q)])
+    words = np.zeros((1, n), np.int64)
+    for i in range(m):
+        row = (0,) * i + h_rec + (0,) * (m - 1 - i)
+        multiples = np.array([[field.smul(c, x) for x in row] for c in range(q)])
+        words = add[words[None], multiples[:, None]].reshape(-1, n)
+    dual = np.bincount(np.count_nonzero(words, axis=1), minlength=n + 1)
+    weights = []
+    for w in range(n + 1):
+        total = sum(int(b) * sum((-1)**j * (q - 1)**(w - j) * math.comb(i, j) * math.comb(n - i, w - j)
+                                 for j in range(w + 1))
+                    for i, b in enumerate(dual) if b)
+        a_w, rest = divmod(total, q**m)
+        assert rest == 0 and a_w >= 0, (code, w)
+        weights.append(a_w)
+    assert weights[0] == 1 and sum(weights) == q**k, code
+    return next(w for w in range(1, n + 1) if weights[w])
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -162,6 +191,19 @@ def test_enumeration_and_mu_beyond_digit_strings():
     rec = mu(5, 211)
     assert rec.exact
     assert rec.mu == min(c.dim + min_distance(c).d for c in codes) == 6
+
+
+def test_repr_past_digit_strings():
+    # a failing assertion that names a code over F_211 must still format;
+    # the digit string, and with it JSON, stays refused
+    code = enumerate_codes(5, 211)[1]
+    assert repr(code) == f"CyclicCode([5,4] over F_211, gen={code.gen.coeffs!r})"
+    assert repr(code.gen) == f"FPoly(q=211, {code.gen.coeffs!r})"
+    with pytest.raises(DomainError):
+        code.gen_string()
+    assert repr(CyclicCode.from_gen(7, 2, "1101")) == "CyclicCode([7,4] over F_2, gen='1101')"
+    assert repr(FPoly.from_string(PrimePower.of(32), "v1")) == "FPoly(q=32, 'v1')"
+    assert repr(FPoly(PrimePower.of(37), (36, 1))) == "FPoly(q=37, (36, 1))"
 
 
 def test_from_gen_roundtrip():
@@ -522,12 +564,18 @@ def test_bz_matches_exhaustive(n, q):
             twin = next(c for c in codes if c.zeros == max(images - {code.zeros}, default=code.zeros))
             assert min_distance(twin).d == r.d == parity_check_oracle(code), code
         return
-    # q > 2: the deepening tier run to completion against the exhaustive kernel
+    # q > 2: the deepening tier run to completion against the exhaustive
+    # kernel within one table, and past it against the MacWilliams identity
     for code in enumerate_codes(n, q):
-        full = min_distance(code, budget=1 << 40)
-        assert full.method == "exhaustive"
         r = _bz_distance(code, bch_bound(code.zeros, n), budget=1 << 40)
-        assert r.exact and r.method == "bz" and r.d == full.d, code
+        if code.q**code.dim <= _TABLE:
+            full = min_distance(code, budget=1 << 40)
+            assert full.method == "exhaustive"
+            expected = full.d
+        else:
+            expected = macwilliams_distance_oracle(code)
+            assert min_distance(code) == r, code
+        assert r.exact and r.method == "bz" and r.d == expected, code
 
 
 def test_bz_deepens_off_prime_fields():
@@ -536,8 +584,28 @@ def test_bz_deepens_off_prime_fields():
     code = [c for c in enumerate_codes(15, 4) if c.dim == 9][0]
     r = min_distance(code, budget=1000)
     assert (r.method, r.exact, r.d) == ("bz", True, 3)
+    # 4^9 is past one table too, so the default budget deepens as well
     full = min_distance(code)
-    assert (full.method, full.d) == ("exhaustive", 3)
+    assert (full.method, full.d) == ("bz", 3) == ("bz", macwilliams_distance_oracle(code))
+
+
+def test_dim_4_codes_over_f127_deepen():
+    # 127^4 messages are past one table: every dim-4 code closes on its k
+    # basis rows, since the window bound ceil(7 * 2 / 4) = 4 meets the
+    # lightest row.  Oracle: Singleton gives d <= 4, and every 3 of the 7
+    # syndromes x^j mod g are independent over F_127, so d >= 4
+    codes = [c for c in enumerate_codes(7, 127) if c.dim == 4]
+    assert len(codes) == 35
+    for code in codes:
+        g, cols, r = code.gen.coeffs, [], (1, 0, 0)
+        for _ in range(7):  # x r mod g, with x^3 = -(g_0 + g_1 x + g_2 x^2)
+            cols.append(r)
+            r = tuple((low - r[2] * gi) % 127 for low, gi in zip((0, r[0], r[1]), g))
+        for a, b, c in itertools.combinations(cols, 3):
+            det = (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+                   + a[2] * (b[0] * c[1] - b[1] * c[0]))
+            assert det % 127, code
+        assert min_distance(code) == DistanceResult(4, 4, True, "bz", 4), code
 
 
 @pytest.mark.parametrize("q,n", [(127, 7), (211, 7), (241, 8), (251, 5)])
@@ -640,23 +708,8 @@ def test_kernels_stop_inside_the_low_table(n, q, gen, dim, bch, d, work):
     code = CyclicCode.from_gen(n, q, gen)
     rows = _systematic_rows(code)
     assert (code.dim, bch_bound(code.zeros, n)) == (dim, bch)
-    assert _min_weight_qp(rows, code.field, bch, DEFAULT_BUDGET) == (d, work)
+    assert _min_weight_qp(rows, code.field, bch) == (d, work)
     assert min_distance(code).work == work
-
-
-def test_kernels_stop_inside_the_high_walk():
-    # rows of weight 2 (a unit vector plus a shared last position) make every
-    # low-table codeword weigh at least 2; the weight-1 row is the first high
-    # digit, so stop_at 1 ends the walk after one block past the low table
-    n = 40
-    field = PrimePower.of(3)  # 3^10 low messages, then the high digits
-    rows = np.zeros((12, n), np.int64)
-    rows[np.arange(12), np.arange(12)] = 1
-    rows[:, n - 1] = 1
-    rows[10] = 0
-    rows[10, 20] = 2
-    assert _min_weight_qp(rows, field, 1, DEFAULT_BUDGET) == (1, 2 * 3**10 - 1)
-    assert _min_weight_qp(rows, field, 0, DEFAULT_BUDGET) == (1, 3**12 - 1)
 
 
 @pytest.mark.parametrize("n,q", [(n, q) for n, q in _KERNEL_GRID if q > 2])
