@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .gf import (DomainError, FFElem, FieldCtx, InternalError, PrimePower,
                  factorize, field_ctx, is_prime, is_primitive, mult_order,
                  nth_root_of_unity, ord_mod, splitting_ctx)
-from .polyring import (CosetPartition, FPoly, cyclotomic_cosets,
+from .polyring import (CosetPartition, FPoly, canonical_m1, cyclotomic_cosets,
                        factor_xn_minus_1, is_irreducible, poly_gcd,
                        poly_to_word, word_to_poly, xn_minus_1)
 from .cyclic import (DEFAULT_BUDGET, CyclicCode, DistanceResult, MuRecord,
@@ -31,7 +31,7 @@ __all__ = [
     "DomainError", "InternalError", "PrimePower", "FieldCtx", "FFElem",
     "field_ctx", "splitting_ctx", "nth_root_of_unity", "mult_order",
     "ord_mod", "is_primitive", "is_prime", "factorize",
-    "FPoly", "CosetPartition", "cyclotomic_cosets", "factor_xn_minus_1",
+    "FPoly", "CosetPartition", "cyclotomic_cosets", "factor_xn_minus_1", "canonical_m1",
     "is_irreducible", "poly_gcd", "word_to_poly", "poly_to_word", "xn_minus_1",
     "CyclicCode", "DistanceResult", "MuRecord", "enumerate_codes",
     "bch_bound", "ht_bound", "min_distance", "mu", "strong_up_witness",

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cyclic import DEFAULT_BUDGET, CyclicCode, min_distance, mu
 from .gf import DomainError, PrimePower, ord_mod
-from .polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1
+from .polyring import FPoly, canonical_m1, cyclotomic_cosets, factor_xn_minus_1
 
 
 def entropy(x: float) -> float:
@@ -223,7 +223,7 @@ def construction_demo(q: int, p: int, R: float, seed: int = 0,
         raise DomainError(f"n = q^p - 1 = {n} beyond the construction cap 127")
     field = PrimePower.from_int(q)
     part = cyclotomic_cosets(n, q)
-    factors = factor_xn_minus_1(n, field)
+    factors = factor_xn_minus_1(n, field, canonical_m1(n, field))  # chosen and gen read labels
     linear = [i for i, f in enumerate(factors) if f.degree == 1]
     deg_p = [i for i, f in enumerate(factors) if f.degree == p]
     if len(linear) != q - 1 or len(linear) + len(deg_p) != len(factors):

@@ -31,7 +31,7 @@ from .cyclic import (DEFAULT_BUDGET, CyclicCode, DistanceResult, min_distance,
                      mu, strong_up_witness)
 from .gf import DomainError, InternalError
 from .mstransform import ms_forward, naive_up_check, naive_up_scan
-from .polyring import _ALPHABET, cyclotomic_cosets, factor_xn_minus_1
+from .polyring import _ALPHABET, canonical_m1, cyclotomic_cosets, factor_xn_minus_1
 from .ramsey import (ap_scan_bound, prop_ram_grid_lower, prop_ram_lower,
                      szemeredi_grid, szemeredi_r)
 from .asymptotics import (ball_volume_upper, construction_demo, entropy, f_alpha,
@@ -137,7 +137,12 @@ def _cache_from(args):
 
 def cmd_factor(args):
     part = cyclotomic_cosets(args.n, args.q)
-    factors = factor_xn_minus_1(args.n, args.q)
+    try:
+        m1 = canonical_m1(args.n, args.q)
+    except DomainError as e:
+        raise DomainError(f"factor labels the cosets by the canonical root of unity, "
+                          f"whose field is refused: {e}") from None
+    factors = factor_xn_minus_1(args.n, args.q, m1)
     out = {"n": args.n, "q": args.q,
            "cosets": [list(c) for c in part.cosets],
            "factors": [f.to_string() for f in factors],

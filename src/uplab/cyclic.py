@@ -45,7 +45,10 @@ class CyclicCode:
     field: PrimePower
     n: int
     gen: FPoly
-    zeros: tuple  # exponents i with gen(zeta^i) = 0, a union of cosets
+    # exponents i with gen(zeta^i) = 0 for a root zeta of factor_xn_minus_1's
+    # default m1, a union of cosets; the canonical root's set is u*zeros for
+    # one unit u, with the same bch, ht and multiplier orbit
+    zeros: tuple
 
     @property
     def q(self) -> int:

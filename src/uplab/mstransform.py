@@ -23,10 +23,11 @@ The exhaustive scan reads deg g off remainders instead: deg g is the sum of
 |C| over the cyclotomic cosets C whose factor m_C divides f, and f mod m_C is
 F_p-linear in the base-p digits of the word, so the remainders of a block of
 words are those of its low symbols, tabled once, plus one remainder for its
-high symbols.  factor_xn_minus_1 builds the splitting field, whose order is
-at most q^n <= 2^24 there.  transform_weight, naive_up_check and the random
-scan keep the gcd over F_q, which needs no splitting field: a random scan
-takes lengths whose splitting field lies past the field-order cap.
+high symbols.  The factors m_C come from factor_xn_minus_1 in F_q[x], and
+deg g needs no coset labels, so the scan builds no splitting field.
+transform_weight, naive_up_check and the random scan keep the gcd over F_q,
+which needs no splitting field either: a random scan takes lengths whose
+splitting field lies past the field-order cap.
 """
 
 from __future__ import annotations

@@ -7,10 +7,13 @@ below n convert back and forth losslessly.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
-from .gf import DomainError, InternalError, PrimePower, nth_root_of_unity, splitting_ctx
+from .gf import (DomainError, InternalError, PrimePower, _scalar_tables, nth_root_of_unity,
+                 ord_mod, splitting_ctx)
 
 _ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -109,12 +112,14 @@ class FPoly:
                     for j, bj in enumerate(b):
                         out[i + j] += ai * bj
             return FPoly(f, tuple(c % f.p for c in out))
+        add, mul, _ = _scalar_tables(f.p, f.e)
         for i, ai in enumerate(a):
             if not ai:
                 continue
+            row = mul[ai]
             for j, bj in enumerate(b):
                 if bj:
-                    out[i + j] = f.sadd(out[i + j], f.smul(ai, bj))
+                    out[i + j] = add[out[i + j]][row[bj]]
         return FPoly(f, tuple(out))
 
     __rmul__ = __mul__
@@ -139,14 +144,15 @@ class FPoly:
                     for j in range(db + 1):
                         a[i - db + j] -= c * b[j]
             return FPoly(f, tuple(quot)), FPoly(f, tuple(c % p for c in a[:db]))
+        add, mul, _ = _scalar_tables(f.p, f.e)
         for i in range(len(a) - 1, db - 1, -1):
             c = a[i]
             if c:
-                c = f.smul(c, inv)
+                c = mul[c][inv]
                 quot[i - db] = c
-                c = f.sneg(c)
+                row = mul[mul[c][f.p - 1]]  # times -c
                 for j in range(db + 1):
-                    a[i - db + j] = f.sadd(a[i - db + j], f.smul(c, b[j]))
+                    a[i - db + j] = add[a[i - db + j]][row[b[j]]]
         return FPoly(f, tuple(quot)), FPoly(f, tuple(a[:db] if db else ()))
 
     def __mod__(self, other):
@@ -227,43 +233,158 @@ def cyclotomic_cosets(n: int, q: int) -> CosetPartition:
     return CosetPartition(n, q, tuple(cosets))
 
 
-def factor_xn_minus_1(n: int, q):
-    """Irreducible factors of x^n - 1 over F_q, one per cyclotomic coset.
+def factor_xn_minus_1(n: int, q, m1: FPoly | None = None) -> list:
+    """Irreducible factors of x^n - 1 over F_q, one per cyclotomic coset,
+    found in F_q[x] with no extension field.
 
-    Factor i is the product of (x - zeta^j) over coset i, with zeta the
-    canonical n-th root of unity; the returned list is aligned with
-    cyclotomic_cosets(n, q).cosets.
+    Factor i is the minimal polynomial of zeta^c, c in coset i, for a root
+    zeta of m1; the list is aligned with cyclotomic_cosets(n, q).cosets.  m1
+    is a factor whose roots have order exactly n, by default the first such
+    factor in coefficient order.  Another m1 relabels coset c as u*c for one
+    unit u; canonical_m1(n, q) gives the labels of the canonical root of
+    unity, at the price of its splitting field.
+
+    x^n - 1 is the product of the cyclotomic polynomials Phi_d over d | n,
+    and Phi_d is the product of the factors whose roots have order d, each
+    of degree ord_d(q).  A coset sum e_C = sum of x^i over a q-cyclotomic
+    coset C of Z/d is fixed by Frobenius, so mod each factor f of Phi_d it
+    is the scalar e_C(root of f).  The coset sums span the Berlekamp algebra
+    of F_q[x]/(x^d - 1), so splitting Phi_d by those scalars (_split)
+    separates every factor (Berlekamp 1967).  The scalars v_f[C] = e_C mod f
+    over the cosets of Z/n then label f: the factor of the coset of c has
+    v[C] = (|C|/|cC|) * v_m1[cC], cC the image coset.
     """
     field = PrimePower.of(q)
     part = cyclotomic_cosets(n, field.q)
-    ctx = splitting_ctx(field, n)
-    zeta = nth_root_of_unity(ctx, n)
+    phi, found = {}, []
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        below = FPoly.one(field)
+        for e, f in phi.items():
+            if d % e == 0:
+                below = below * f
+        phi[d] = xn_minus_1(field, d) // below
+        deg = ord_mod(field.q, d) if d > 1 else 1
+        pieces = [phi[d]]
+        for coset in cyclotomic_cosets(d, field.q).cosets[1:]:  # e_{0} = 1 splits nothing
+            if len(pieces) * deg == phi[d].degree:
+                break
+            e_c = [0] * (coset[-1] + 1)
+            for i in coset:
+                e_c[i] = 1
+            e_c = FPoly(field, tuple(e_c))
+            pieces = [g for f in pieces for g in (_split(f, e_c % f) if f.degree > deg else [f])]
+        if len(pieces) * deg != phi[d].degree:
+            raise InternalError(f"the coset sums do not separate the factors of Phi_{d}")
+        found += pieces
+    primitive = pieces  # the factors of Phi_n: d = n came last
+    vectors = {f: _coset_values(f, part.cosets) for f in found}
+    values = {v: f for f, v in vectors.items()}
+    if len(values) != len(found):
+        raise InternalError("the coset sums do not separate the factors of x^n - 1")
+    if m1 is None:
+        m1 = min(primitive, key=lambda f: f.coeffs)
+    elif m1 not in primitive:
+        raise DomainError(f"m1 = {m1!r} is no factor of x^n - 1 whose roots have order {n}")
+    v1 = vectors[m1]
+    where = {z: j for j, coset in enumerate(part.cosets) for z in coset}
     factors = []
     for coset in part.cosets:
-        # product of linear terms over the extension
-        prod = [ctx.one()]
-        for j in coset:
-            root = ctx.pow(zeta, j)
-            nxt = [ctx.zero()] * (len(prod) + 1)
-            for i, c in enumerate(prod):
-                nxt[i + 1] = ctx.add(nxt[i + 1], c)
-                nxt[i] = ctx.add(nxt[i], ctx.neg(ctx.mul(c, root)))
-            prod = nxt
-        codes = []
-        for c in prod:
-            sc = ctx.scalar_code(c)
-            if sc is None:
-                raise InternalError(
-                    f"coset factor coefficient left the base field F_{field.q} (broken ctx)"
-                )
-            codes.append(sc)
-        factors.append(FPoly(field, tuple(codes)))
+        image = [where[coset[0] * other[0] % n] for other in part.cosets]
+        key = tuple(field.smul(len(other) // len(part.cosets[j]) % field.p, v1[j])
+                    for other, j in zip(part.cosets, image))
+        f = values.get(key)
+        if f is None or f.degree != len(coset):
+            raise InternalError(f"no factor of degree {len(coset)} carries the coset of {coset[0]}")
+        factors.append(f)
     check = FPoly.one(field)
     for f in factors:
         check = check * f
     if check != xn_minus_1(field, n):
         raise InternalError("coset factors do not multiply back to x^n - 1")
     return factors
+
+
+def _split(f: FPoly, r: FPoly) -> list:
+    """The factors of f that r, reduced mod f, separates, where r is a
+    scalar mod every irreducible factor of f: one piece per value."""
+    if r.degree <= 0:
+        return [f]
+    for s in _splitters(f, r):
+        g = poly_gcd(f, s)
+        if 0 < g.degree < f.degree:
+            h = f // g
+            return _split(g, r % g) + _split(h, r % h)
+    raise InternalError("no splitter separates the values of a coset sum")
+
+
+def _splitters(f: FPoly, r: FPoly):
+    """Polynomials whose gcd with f splits f along the values of r, by
+    equal-degree splitting, so the cost does not grow with q.
+
+    Over odd q, (r + b)^((q-1)/2) - 1 vanishes where r + b is a nonzero
+    square; some b in F_q separates any two values, since the (q-1)/2
+    nonzero squares are no union of additive cosets of F_p.  Over q = 2^e,
+    Tr(beta * r) vanishes where the absolute trace of beta times the value
+    is 0; the trace form is nondegenerate, so some beta in the basis 1, x,
+    ..., x^(e-1) of F_q over F_2 separates any two values."""
+    field = f.field
+    if field.p == 2:
+        for j in range(field.e):
+            power = trace = r * (1 << j)
+            for _ in range(field.e - 1):
+                power = power * power % f
+                trace = trace + power
+            yield trace
+        return
+    one = FPoly.one(field)
+    for b in range(field.q):
+        yield _pow_mod(r + FPoly(field, (b,)), (field.q - 1) // 2, f) - one
+
+
+def _coset_values(f: FPoly, cosets) -> tuple:
+    """The scalars e_C mod f over the cosets C of Z/n, f an irreducible
+    factor of x^n - 1: the sums over C of the constant terms s_i of x^i mod
+    f, which obey the linear recurrence with characteristic polynomial f."""
+    field, d = f.field, f.degree
+    n = sum(map(len, cosets))
+    tail = [field.sneg(c) for c in f.monic().coeffs[:d]]  # x^d = sum_j tail_j x^j mod f
+    s = [1] + [0] * (d - 1)
+    if field.e == 1:
+        p = field.p
+        for i in range(d, n):
+            s.append(sum(map(operator.mul, tail, s[i - d:])) % p)
+        return tuple(sum(s[i] for i in coset) % p for coset in cosets)
+    add, mul, _ = _scalar_tables(field.p, field.e)
+    for i in range(d, n):
+        acc = 0
+        for a, b in zip(tail, s[i - d:]):
+            acc = add[acc][mul[a][b]]
+        s.append(acc)
+    return tuple(functools.reduce(lambda acc, i: add[acc][s[i]], coset, 0) for coset in cosets)
+
+
+def canonical_m1(n: int, q) -> FPoly:
+    """The minimal polynomial of the canonical primitive n-th root of unity,
+    nth_root_of_unity(splitting_ctx(q, n), n): the m1 that gives
+    factor_xn_minus_1 that root's labels.  It builds the splitting field
+    F_{q^m}, m = ord_n(q), so it is refused where that field passes the
+    field-order cap."""
+    field = PrimePower.of(q)
+    coset = next(c for c in cyclotomic_cosets(n, field.q).cosets if 1 % n in c)
+    ctx = splitting_ctx(field, n)
+    zeta = nth_root_of_unity(ctx, n)
+    prod = [ctx.one()]  # product of linear terms over the extension
+    for j in coset:
+        root = ctx.pow(zeta, j)
+        nxt = [ctx.zero()] * (len(prod) + 1)
+        for i, c in enumerate(prod):
+            nxt[i + 1] = ctx.add(nxt[i + 1], c)
+            nxt[i] = ctx.add(nxt[i], ctx.neg(ctx.mul(c, root)))
+        prod = nxt
+    codes = [ctx.scalar_code(c) for c in prod]
+    if None in codes:
+        raise InternalError(f"minimal polynomial coefficient left the base field F_{field.q} (broken ctx)")
+    return FPoly(field, tuple(codes))
 
 
 def is_irreducible(f: FPoly) -> bool:

@@ -175,6 +175,16 @@ def test_strong_up_command():
     assert out["branch"] == "bounded" and out["mu"] == 19
 
 
+def test_factor_past_the_splitting_field_cap_exit_2(capsys):
+    # mu needs no labels and runs at n = 67; factor prints the canonical root's
+    assert main(["factor", "--n", "67", "--q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "canonical root" in captured.err and "2^66" in captured.err and "2^64" in captured.err
+    assert main(["mu", "--n", "67", "--q", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["mu"] == 68
+
+
 def test_ramsey_grid_command():
     r = run_cli("ramsey", "--kind", "grid", "--n", "7", "--delta", "3", "--s", "1")
     assert r.returncode == 0

@@ -769,6 +769,15 @@ def test_mu_values(n, q, expected):
     assert wd + rec.witness.dim == rec.mu
 
 
+@pytest.mark.parametrize("p", [67, 83, 101])
+def test_mu_past_the_splitting_field_cap(p):
+    # 2 is primitive mod p, so x^p - 1 = (x - 1) * Phi_p and mu = p + 1 needs
+    # no distance beyond the repetition code; F_2^(p-1) is past 2^64
+    rec = mu(p, 2)
+    assert rec.exact and rec.mu == p + 1
+    assert strong_up_witness(p, 2).branch == "primitive"
+
+
 def test_mu_13_3_against_full_scan():
     # independent of the pruning: brute-force the minimum over all divisors
     best = min(c.dim + distance_oracle(c) for c in enumerate_codes(13, 3)

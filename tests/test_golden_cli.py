@@ -54,6 +54,7 @@ COMMANDS = [
     ["weak-up", "--q", "2", "--eps", "0.2", "--lam", "0.6", "--pmax", "31"],
     ["strong-up", "--p", "23", "--q", "2"],
     ["strong-up", "--p", "13", "--q", "3"],
+    ["strong-up", "--p", "67", "--q", "2"],
     ["ramsey", "--kind", "ap", "--m", "4", "--n", "13"],
     ["ramsey", "--kind", "grid", "--delta", "3", "--s", "1", "--n", "7"],
     ["asym", "--what", "construction", "--q", "2", "--p", "5", "--seed", "9"],

@@ -1,13 +1,16 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from uplab.gf import FIELD_ORDER_CAP, DomainError, PrimePower, ord_mod
-from uplab.polyring import (FPoly, cyclotomic_cosets, factor_xn_minus_1,
+from uplab.cyclic import _multiplier_reps, _orbit_key, bch_bound, enumerate_codes, ht_bound
+from uplab.gf import (FIELD_ORDER_CAP, DomainError, InternalError, PrimePower, nth_root_of_unity,
+                      ord_mod, splitting_ctx)
+from uplab.polyring import (FPoly, canonical_m1, cyclotomic_cosets, factor_xn_minus_1,
                             is_irreducible, poly_gcd, poly_to_word,
                             word_to_poly, xn_minus_1)
 
@@ -55,6 +58,8 @@ def test_cosets_examples():
 def test_factor_x7_minus_1():
     fs = factor_xn_minus_1(7, 2)
     assert sorted(f.to_string() for f in fs) == ["1011", "11", "1101"]
+    # the default m1 is the first factor with roots of order 7 in coefficient order
+    assert [f.to_string() for f in fs] == ["11", "1011", "1101"]
     prod = FPoly.one(F2)
     for f in fs:
         assert is_irreducible(f)
@@ -77,9 +82,46 @@ def test_is_irreducible_examples():
         is_irreducible(FPoly(F2, (1,)))
 
 
-@pytest.mark.parametrize("n,q", [(7, 2), (9, 2), (15, 2), (17, 2), (21, 2), (23, 2),
-                                 (31, 2), (63, 2), (127, 2), (4, 3), (8, 3), (11, 3),
-                                 (13, 3), (26, 3), (6, 5), (12, 7), (5, 4)])
+_GRID = [(7, 2), (9, 2), (15, 2), (17, 2), (21, 2), (23, 2), (31, 2), (63, 2), (127, 2),
+         (4, 3), (8, 3), (11, 3), (13, 3), (26, 3), (6, 5), (12, 7), (5, 4)]
+
+
+def _reference_factors(n: int, q):
+    """The factors as products of linear terms over the canonical splitting
+    field, coset by coset: the factoring that F_q[x] splitting replaced."""
+    field = PrimePower.of(q)
+    part = cyclotomic_cosets(n, field.q)
+    ctx = splitting_ctx(field, n)
+    zeta = nth_root_of_unity(ctx, n)
+    factors = []
+    for coset in part.cosets:
+        # product of linear terms over the extension
+        prod = [ctx.one()]
+        for j in coset:
+            root = ctx.pow(zeta, j)
+            nxt = [ctx.zero()] * (len(prod) + 1)
+            for i, c in enumerate(prod):
+                nxt[i + 1] = ctx.add(nxt[i + 1], c)
+                nxt[i] = ctx.add(nxt[i], ctx.neg(ctx.mul(c, root)))
+            prod = nxt
+        codes = []
+        for c in prod:
+            sc = ctx.scalar_code(c)
+            if sc is None:
+                raise InternalError(
+                    f"coset factor coefficient left the base field F_{field.q} (broken ctx)"
+                )
+            codes.append(sc)
+        factors.append(FPoly(field, tuple(codes)))
+    check = FPoly.one(field)
+    for f in factors:
+        check = check * f
+    if check != xn_minus_1(field, n):
+        raise InternalError("coset factors do not multiply back to x^n - 1")
+    return factors
+
+
+@pytest.mark.parametrize("n,q", _GRID)
 def test_factorization_properties(n, q):
     field = PrimePower.from_int(q)
     part = cyclotomic_cosets(n, q)
@@ -91,6 +133,84 @@ def test_factorization_properties(n, q):
         prod = prod * f
     assert prod == xn_minus_1(field, n)
     assert sum(len(c) for c in part.cosets) == n
+
+
+@pytest.mark.parametrize("n,q", _GRID + [(7, 8), (9, 8), (21, 8), (8, 9), (10, 9), (13, 9),
+                                          (5, 16), (15, 16), (17, 16)])
+def test_canonical_labels_match_the_splitting_field(n, q):
+    assert factor_xn_minus_1(n, q, canonical_m1(n, q)) == _reference_factors(n, q)
+
+
+_LABEL_CASES = [(n, q) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(1, 61)
+                if math.gcd(n, q) == 1 and (n == 1 or q ** ord_mod(q, n) < FIELD_ORDER_CAP)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_LABEL_CASES))
+def test_default_labels_are_a_unit_multiple_of_the_canonical(case):
+    n, q = case
+    field = PrimePower.of(q)
+    part = cyclotomic_cosets(n, q)
+    reference = _reference_factors(n, field)
+    factors = factor_xn_minus_1(n, field)
+    assert factor_xn_minus_1(n, field, canonical_m1(n, field)) == reference
+    assert sorted(f.coeffs for f in factors) == sorted(f.coeffs for f in reference)
+    if field.e == 1:
+        _, theirs = sympy.Poly(X**n - 1, X, modulus=q).factor_list()
+        assert sorted(f.coeffs for f in factors) == sorted(_from_sympy(f, q) for f, _ in theirs)
+    # the default m1 is the minimal polynomial of zeta^u, zeta the canonical
+    # root, so its zero sets are the canonical ones divided by u
+    m1 = factors[next(i for i, c in enumerate(part.cosets) if 1 % n in c)]
+    u = part.cosets[reference.index(m1)][0]
+    assert math.gcd(u, n) == 1
+    if len(part.cosets) > 6:
+        return
+    reps = _multiplier_reps(n, q)
+    for code in enumerate_codes(n, field):
+        zeros = tuple(sorted(z for c, f in zip(part.cosets, reference)
+                             if (code.gen % f).is_zero() for z in c))
+        assert tuple(sorted(u * z % n for z in code.zeros)) == zeros
+        assert bch_bound(code.zeros, n) == bch_bound(zeros, n)
+        assert ht_bound(code.zeros, n) == ht_bound(zeros, n)
+        assert _orbit_key(code.zeros, n, reps) == _orbit_key(zeros, n, reps)
+
+
+@pytest.mark.parametrize("n,q", [(6, 1000003), (3, 65537), (4, 10007)])
+def test_large_q_splits_without_a_scalar_loop(n, q):
+    # a split that tried every a in F_q took seconds here
+    m1 = canonical_m1(n, q)
+    start = time.perf_counter()
+    factors = factor_xn_minus_1(n, q, m1)
+    assert time.perf_counter() - start < 0.1
+    assert factors == _reference_factors(n, q)
+
+
+@pytest.mark.parametrize("n,degrees", [(67, [1, 66]), (83, [1, 82]), (101, [1, 100]),
+                                       (199, [1, 99, 99])])
+def test_lengths_past_the_splitting_field_cap(n, degrees):
+    # F_2^ord_n(2) is past 2^64 at each: the split needs no field, the labels do
+    with pytest.raises(DomainError, match="exceeds cap 2\\^64"):
+        canonical_m1(n, 2)
+    factors = factor_xn_minus_1(n, 2)
+    assert [f.degree for f in factors] == degrees
+    assert all(is_irreducible(f) for f in factors)
+
+
+def test_m1_relabels_by_a_unit():
+    n = 21
+    part = cyclotomic_cosets(n, 2)
+    where = {z: i for i, c in enumerate(part.cosets) for z in c}
+    factors = factor_xn_minus_1(n, 2)
+    for coset, f in zip(part.cosets, factors):
+        u = coset[0]
+        if math.gcd(u, n) != 1:
+            with pytest.raises(DomainError, match="order 21"):
+                factor_xn_minus_1(n, 2, f)
+            continue
+        # f is the minimal polynomial of zeta^u: its coset of c is the default one of u*c
+        assert factor_xn_minus_1(n, 2, f) == [factors[where[u * c[0] % n]] for c in part.cosets]
+    with pytest.raises(DomainError, match="order 21"):
+        factor_xn_minus_1(n, 2, FPoly.x(F2))
 
 
 @pytest.mark.parametrize("n,q", [(7, 2), (17, 2), (23, 2), (31, 2), (13, 3), (11, 3)])
@@ -148,14 +268,10 @@ def test_is_irreducible_matches_sympy(p, max_deg):
             assert is_irreducible(FPoly(field, f)) == _sympy_poly(f, p).is_irreducible, f
 
 
-_SPLITTABLE = [(n, p) for p in (2, 3, 5, 7) for n in range(1, 40)
-               if math.gcd(n, p) == 1 and (n == 1 or p ** ord_mod(p, n) < FIELD_ORDER_CAP)]
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_factor_xn_minus_1_matches_sympy(p):
     field = PrimePower.make(p)
-    for n, _ in (case for case in _SPLITTABLE if case[1] == p):
+    for n in (n for n in range(1, 40) if math.gcd(n, p) == 1):
         ours = sorted(f.coeffs for f in factor_xn_minus_1(n, field))
         _, theirs = sympy.Poly(X**n - 1, X, modulus=p).factor_list()
         assert all(mult == 1 for _, mult in theirs)
