@@ -29,7 +29,7 @@ from dataclasses import replace
 from . import __version__
 from .cyclic import (DEFAULT_BUDGET, CyclicCode, DistanceResult, min_distance,
                      mu, strong_up_witness)
-from .gf import DomainError, InternalError
+from .gf import DomainError, InternalError, PrimePower
 from .mstransform import ms_forward, naive_up_check, naive_up_scan
 from .polyring import _ALPHABET, canonical_m1, cyclotomic_cosets, factor_xn_minus_1
 from .ramsey import (ap_scan_bound, prop_ram_grid_lower, prop_ram_lower,
@@ -136,8 +136,8 @@ def _cache_from(args):
 
 
 def cmd_factor(args):
-    part = cyclotomic_cosets(args.n, args.q)
-    try:
+    part = cyclotomic_cosets(args.n, PrimePower.of(args.q).q)
+    try:  # the field and the length are valid, so only the splitting field is refused here
         m1 = canonical_m1(args.n, args.q)
     except DomainError as e:
         raise DomainError(f"factor labels the cosets by the canonical root of unity, "

@@ -12,10 +12,15 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf import (DomainError, InternalError, PrimePower, _scalar_tables, nth_root_of_unity,
                  ord_mod, splitting_ctx)
 
 _ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
+_NUMPY_LEN = 64  # prime-field products and divisions this long run their rows in numpy
+_INT64 = 1 << 63
+_FACTOR_CAP = 1 << 12  # longest x^n - 1 factored: splitting Phi_n takes about n^2 scalar steps
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,9 @@ class FPoly:
             return FPoly.zero(f)
         out = [0] * (len(a) + len(b) - 1)
         if f.e == 1:
+            if len(a) * len(b) >= _NUMPY_LEN**2 and min(len(a), len(b)) * (f.p - 1) ** 2 < _INT64:
+                out = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+                return FPoly(f, tuple((out % f.p).tolist()))
             # prime field: accumulate integer products, reduce once
             for i, ai in enumerate(a):
                 if ai:
@@ -134,6 +142,19 @@ class FPoly:
         db = len(b) - 1
         inv = f.sinv(b[-1])
         quot = [0] * max(0, len(a) - db)
+        if f.e == 1 and db >= _NUMPY_LEN and f.p * f.p < _INT64:
+            # one numpy row update per quotient term, the remainder kept reduced
+            p, a = f.p, np.array(a, dtype=np.int64)
+            neg = -np.array(b, dtype=np.int64) % p
+            for i in range(len(a) - 1, db - 1, -1):
+                c = int(a[i])
+                if c:
+                    c = c * inv % p
+                    quot[i - db] = c
+                    row = a[i - db:i + 1]
+                    row += c * neg
+                    row %= p
+            return FPoly(f, tuple(quot)), FPoly(f, tuple(a[:db].tolist()))
         if f.e == 1:
             p = f.p
             for i in range(len(a) - 1, db - 1, -1):
@@ -253,8 +274,14 @@ def factor_xn_minus_1(n: int, q, m1: FPoly | None = None) -> list:
     separates every factor (Berlekamp 1967).  The scalars v_f[C] = e_C mod f
     over the cosets of Z/n then label f: the factor of the coset of c has
     v[C] = (|C|/|cC|) * v_m1[cC], cC the image coset.
+
+    Lengths past _FACTOR_CAP are refused: the gcds on Phi_n, of degree
+    about n, and the recurrences behind v_f take about n^2 scalar steps.
     """
     field = PrimePower.of(q)
+    if n > _FACTOR_CAP:
+        raise DomainError(f"n = {n} is past the factoring cap {_FACTOR_CAP}: splitting x^n - 1 "
+                          "in F_q[x] takes about n^2 scalar steps")
     part = cyclotomic_cosets(n, field.q)
     phi, found = {}, []
     for d in (d for d in range(1, n + 1) if n % d == 0):
@@ -271,31 +298,38 @@ def factor_xn_minus_1(n: int, q, m1: FPoly | None = None) -> list:
             e_c = [0] * (coset[-1] + 1)
             for i in coset:
                 e_c[i] = 1
-            e_c = FPoly(field, tuple(e_c))
+            e_c = FPoly(field, tuple(e_c)) % phi[d]
             pieces = [g for f in pieces for g in (_split(f, e_c % f) if f.degree > deg else [f])]
         if len(pieces) * deg != phi[d].degree:
             raise InternalError(f"the coset sums do not separate the factors of Phi_{d}")
         found += pieces
     primitive = pieces  # the factors of Phi_n: d = n came last
-    vectors = {f: _coset_values(f, part.cosets) for f in found}
-    values = {v: f for f, v in vectors.items()}
-    if len(values) != len(found):
-        raise InternalError("the coset sums do not separate the factors of x^n - 1")
     if m1 is None:
         m1 = min(primitive, key=lambda f: f.coeffs)
     elif m1 not in primitive:
         raise DomainError(f"m1 = {m1!r} is no factor of x^n - 1 whose roots have order {n}")
-    v1 = vectors[m1]
-    where = {z: j for j, coset in enumerate(part.cosets) for z in coset}
-    factors = []
-    for coset in part.cosets:
-        image = [where[coset[0] * other[0] % n] for other in part.cosets]
-        key = tuple(field.smul(len(other) // len(part.cosets[j]) % field.p, v1[j])
-                    for other, j in zip(part.cosets, image))
-        f = values.get(key)
-        if f is None or f.degree != len(coset):
-            raise InternalError(f"no factor of degree {len(coset)} carries the coset of {coset[0]}")
-        factors.append(f)
+    # the factor of the coset of c takes e_C to (|C|/|cC|) * v_m1[cC]; the
+    # first few cosets C already tell every c apart, and only those are read
+    cosets = part.cosets
+    (v1,) = _coset_values([m1], cosets, n)
+    where = {z: j for j, coset in enumerate(cosets) for z in coset}
+    keys, probes = [()] * len(cosets), []
+    for other in cosets[1:]:  # e_{0} = 1 tells nothing apart
+        if len(set(keys)) == len(keys):
+            break
+        probes.append(other)
+        images = (where[c[0] * other[0] % n] for c in cosets)
+        keys = [key + (field.smul(len(other) // len(cosets[j]) % field.p, v1[j]),)
+                for key, j in zip(keys, images)]
+    label = {key: i for i, key in enumerate(keys)}
+    if len(label) != len(keys):
+        raise InternalError("the coset sums do not separate the factors of x^n - 1")
+    factors = [None] * len(cosets)
+    for f, key in zip(found, _coset_values(found, probes, n)):
+        i = label.get(key)
+        if i is None or factors[i] is not None or f.degree != len(cosets[i]):
+            raise InternalError(f"factor {f!r} carries no coset of its degree")
+        factors[i] = f
     check = FPoly.one(field)
     for f in factors:
         check = check * f
@@ -304,22 +338,23 @@ def factor_xn_minus_1(n: int, q, m1: FPoly | None = None) -> list:
     return factors
 
 
-def _split(f: FPoly, r: FPoly) -> list:
+def _split(f: FPoly, r: FPoly, start: int = 0) -> list:
     """The factors of f that r, reduced mod f, separates, where r is a
-    scalar mod every irreducible factor of f: one piece per value."""
+    scalar mod every irreducible factor of f: one piece per value.  The
+    splitters before start are known not to separate them."""
     if r.degree <= 0:
         return [f]
-    for s in _splitters(f, r):
+    for j, s in _splitters(f, r, start):
         g = poly_gcd(f, s)
         if 0 < g.degree < f.degree:
-            h = f // g
-            return _split(g, r % g) + _split(h, r % h)
+            h = f // g  # splitter j is constant on each side, as are those before it
+            return _split(g, r % g, j + 1) + _split(h, r % h, j + 1)
     raise InternalError("no splitter separates the values of a coset sum")
 
 
-def _splitters(f: FPoly, r: FPoly):
-    """Polynomials whose gcd with f splits f along the values of r, by
-    equal-degree splitting, so the cost does not grow with q.
+def _splitters(f: FPoly, r: FPoly, start: int):
+    """Numbered polynomials whose gcd with f splits f along the values of
+    r, by equal-degree splitting, so the cost does not grow with q.
 
     Over odd q, (r + b)^((q-1)/2) - 1 vanishes where r + b is a nonzero
     square; some b in F_q separates any two values, since the (q-1)/2
@@ -329,24 +364,68 @@ def _splitters(f: FPoly, r: FPoly):
     ..., x^(e-1) of F_q over F_2 separates any two values."""
     field = f.field
     if field.p == 2:
-        for j in range(field.e):
+        for j in range(start, field.e):
             power = trace = r * (1 << j)
             for _ in range(field.e - 1):
                 power = power * power % f
                 trace = trace + power
-            yield trace
+            yield j, trace
         return
     one = FPoly.one(field)
-    for b in range(field.q):
-        yield _pow_mod(r + FPoly(field, (b,)), (field.q - 1) // 2, f) - one
+    for b in range(start, field.q):
+        yield b, _pow_mod(r + FPoly(field, (b,)), (field.q - 1) // 2, f) - one
 
 
-def _coset_values(f: FPoly, cosets) -> tuple:
-    """The scalars e_C mod f over the cosets C of Z/n, f an irreducible
-    factor of x^n - 1: the sums over C of the constant terms s_i of x^i mod
-    f, which obey the linear recurrence with characteristic polynomial f."""
+def _coset_values(fs: list, cosets, n: int) -> list:
+    """The scalars e_C mod f over the given cosets C of Z/n, one tuple per
+    irreducible factor f of x^n - 1: the sums over C of the constant terms
+    s_i of x^i mod f, which obey the linear recurrence with characteristic
+    polynomial f.  Many long recurrences run side by side in numpy, each
+    padded with leading zeros to the largest degree and started from zeros
+    and s_0 = 1.  That gives other s_1 .. s_(deg f - 1), but the same sums:
+    every sequence of the recurrence is s_i = Tr(theta * zeta^i) for a root
+    zeta of f, and e_C(zeta) lies in F_q, so its sum over C is
+    e_C(zeta) * Tr(theta) = e_C(zeta) * s_0."""
+    if len(fs) * n < _NUMPY_LEN**2:
+        return [_recurrence_values(f, cosets, n) for f in fs]
+    field = fs[0].field
+    p, top = field.p, max(f.degree for f in fs)
+    dtype = np.int64 if (p - 1) ** 2 < _INT64 else object
+    tail = np.zeros((len(fs), top), dtype=dtype)  # x^d = sum_j tail_j x^j mod f
+    for row, f in zip(tail, fs):
+        row[top - f.degree:] = [field.sneg(c) for c in f.monic().coeffs[:f.degree]]
+    # s_i goes to column top + i % top; the block before stays in the first
+    # top columns, so s_(i-top) .. s_(i-1) is one slice, zero before s_0
+    seq = np.zeros((len(fs), 2 * top), dtype=dtype)
+    seq[:, top] = 1
+    sums = np.zeros((len(fs), len(cosets)), dtype=dtype)
+    slot = {i: k for k, coset in enumerate(cosets) for i in coset}
+    if field.e > 1:
+        add, mul = (np.array(t) for t in _scalar_tables(p, field.e)[:2])
+    for i in range(n):
+        at = top + i % top
+        if i:
+            window = seq[:, at - top:at]
+            if field.e == 1:
+                s = (tail * window % p).sum(axis=1) % p
+            else:
+                terms = mul[tail, window]
+                s = terms[:, 0]
+                for j in range(1, top):
+                    s = add[s, terms[:, j]]
+            seq[:, at] = s
+        k = slot.get(i)
+        if k is not None:
+            s = seq[:, at]
+            sums[:, k] = (sums[:, k] + s) % p if field.e == 1 else add[sums[:, k], s]
+        if at == 2 * top - 1:
+            seq[:, :top] = seq[:, top:]
+    return [tuple(row) for row in sums.tolist()]
+
+
+def _recurrence_values(f: FPoly, cosets, n: int) -> tuple:
+    """_coset_values of one factor, in plain Python."""
     field, d = f.field, f.degree
-    n = sum(map(len, cosets))
     tail = [field.sneg(c) for c in f.monic().coeffs[:d]]  # x^d = sum_j tail_j x^j mod f
     s = [1] + [0] * (d - 1)
     if field.e == 1:

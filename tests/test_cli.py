@@ -176,13 +176,28 @@ def test_strong_up_command():
 
 
 def test_factor_past_the_splitting_field_cap_exit_2(capsys):
-    # mu needs no labels and runs at n = 67; factor prints the canonical root's
+    # factor prints the canonical root's labels, whose field F_{2^66} is refused
     assert main(["factor", "--n", "67", "--q", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "canonical root" in captured.err and "2^66" in captured.err and "2^64" in captured.err
-    assert main(["mu", "--n", "67", "--q", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["mu"] == 68
+
+
+def test_factor_refuses_a_non_prime_power_plainly(capsys):
+    assert main(["factor", "--n", "5", "--q", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "6 is not a prime power" in captured.err
+    assert "canonical root" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["factor", "mindist"])
+def test_lengths_past_the_factoring_cap_exit_2(capsys, command):
+    # Phi_n has degree about n: splitting it in F_q[x] takes about n^2 steps
+    # (factor's canonical root would live in F_{2^13}, within the field cap)
+    extra = ["--gen", "11"] if command == "mindist" else []
+    assert main([command, "--n", "8191", "--q", "2", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "factoring cap" in captured.err
 
 
 def test_ramsey_grid_command():

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from uplab.cyclic import _multiplier_reps, _orbit_key, bch_bound, enumerate_codes, ht_bound
 from uplab.gf import (FIELD_ORDER_CAP, DomainError, InternalError, PrimePower, nth_root_of_unity,
                       ord_mod, splitting_ctx)
-from uplab.polyring import (FPoly, canonical_m1, cyclotomic_cosets, factor_xn_minus_1,
+from uplab.polyring import (_FACTOR_CAP, _NUMPY_LEN, FPoly, _coset_values, _recurrence_values,
+                            canonical_m1, cyclotomic_cosets, factor_xn_minus_1,
                             is_irreducible, poly_gcd, poly_to_word,
                             word_to_poly, xn_minus_1)
 
@@ -183,6 +184,43 @@ def test_large_q_splits_without_a_scalar_loop(n, q):
     factors = factor_xn_minus_1(n, q, m1)
     assert time.perf_counter() - start < 0.1
     assert factors == _reference_factors(n, q)
+
+
+@pytest.mark.parametrize("n,q", [(255, 2), (255, 4), (300, 7), (310, 311)])
+def test_long_lengths_match_the_splitting_field(n, q):
+    # long enough for the numpy rows and the side-by-side recurrences; over
+    # F_311 all 310 factors are linear and the splitters run deep
+    assert factor_xn_minus_1(n, q, canonical_m1(n, q)) == _reference_factors(n, q)
+
+
+def test_factoring_cap():
+    with pytest.raises(DomainError, match="factoring cap"):
+        factor_xn_minus_1(_FACTOR_CAP + 1, 2)
+
+
+@pytest.mark.parametrize("n,q", [(21, 2), (15, 4), (20, 9), (5, (1 << 61) - 1)])
+def test_side_by_side_recurrences_match_one_at_a_time(n, q):
+    # 2^61 - 1 squares past int64, so its rows hold Python integers
+    field = PrimePower.of(q)
+    factors = factor_xn_minus_1(n, field)
+    many = factors * (_NUMPY_LEN**2 // (n * len(factors)) + 1)
+    cosets = cyclotomic_cosets(n, field.q).cosets
+    for probes in (cosets, cosets[1::2]):
+        assert _coset_values(many, probes, n) == [_recurrence_values(f, probes, n) for f in many]
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003, (1 << 61) - 1])
+def test_long_prime_field_mul_divmod_match_sympy(p):
+    # past _NUMPY_LEN the rows run in numpy, unless p^2 overflows int64
+    field, rng = PrimePower.make(p), random.Random(p)
+    for la, lb in ((300, 70), (400, 13), (90, 80)):
+        fa = FPoly(field, tuple(rng.randrange(p) for _ in range(la - 1)) + (1 + rng.randrange(p - 1),))
+        fb = FPoly(field, tuple(rng.randrange(p) for _ in range(lb - 1)) + (1 + rng.randrange(p - 1),))
+        sa, sb = _sympy_poly(fa.coeffs, p), _sympy_poly(fb.coeffs, p)
+        assert (fa * fb).coeffs == _from_sympy(sa * sb, p)
+        qt, rm = divmod(fa, fb)
+        sq, sr = sympy.div(sa, sb)
+        assert (qt.coeffs, rm.coeffs) == (_from_sympy(sq, p), _from_sympy(sr, p))
 
 
 @pytest.mark.parametrize("n,degrees", [(67, [1, 66]), (83, [1, 82]), (101, [1, 100]),
