@@ -11,11 +11,10 @@ that follows the same two rules.
 Products: a field of order up to 2^16 multiplies through exp/log tables of
 the primitive element.  The tables are built by doubling: with S the F_p
 matrix of y -> y*prim, the digit rows of prim^(2^k..2^(k+1)-1) are the rows
-of prim^(0..2^k-1) times S^(2^k).  A larger field multiplies bitmasks by
-shift and XOR for p = 2; for odd p it convolves the two digit vectors and
-folds the high half back with a fixed matrix whose row i holds the digits
-of x^(deg+i) mod the modulus.  Those digit products are int64, so an odd-p
-field needs deg*(p-1)^2 < 2^63 and is refused otherwise.
+of prim^(0..2^k-1) times S^(2^k).  A larger field convolves the two digit
+vectors and folds the high half back with a fixed matrix whose row i holds
+the digits of x^(deg+i) mod the modulus.  Those digit products are int64, so
+a field needs deg*(p-1)^2 < 2^63 and is refused otherwise.
 
 Elements of F_{p^e} with e >= 2 appearing as *scalars* (e.g. polynomial
 coefficients) are also integer codes 0..q-1 under the same digit convention.
@@ -32,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 FIELD_ORDER_CAP = 1 << 64  # contexts with p^(e*m) beyond this are refused
-_DIGIT_PRODUCT_CAP = 1 << 63  # odd p: deg*(p-1)^2 must stay below, as in int64
+_DIGIT_PRODUCT_CAP = 1 << 63  # deg*(p-1)^2 must stay below, as in int64
 _TABLE_CAP = 1 << 16       # exp/log tables built for fields up to this order
 _SCALAR_CAP = 1 << 9       # prime-power scalar fields get full op tables
 
@@ -265,9 +264,9 @@ def _scalar_tables(p, e):
 
 @dataclass(frozen=True)
 class FFElem:
-    """Element of a FieldCtx; val is a bitmask (p=2) or digit tuple (p odd)."""
+    """Element of a FieldCtx: its deg base-p digits, constant term first."""
 
-    val: object
+    digits: tuple
     ctx: "FieldCtx"
 
     def __add__(self, other):
@@ -289,20 +288,12 @@ class FFElem:
         return self.ctx.pow(self, k)
 
     def __bool__(self):
-        return bool(self.val) if isinstance(self.val, int) else any(self.val)
+        return any(self.digits)
 
     @property
     def code(self) -> int:
         """Integer code: digits base p, constant term least significant."""
-        if isinstance(self.val, int):
-            return self.val
-        return from_digits(self.val, self.ctx.char)
-
-    @property
-    def digits(self) -> tuple:
-        if isinstance(self.val, int):
-            return to_digits(self.val, 2, self.ctx.deg)
-        return self.val
+        return from_digits(self.digits, self.ctx.char)
 
     def __repr__(self):
         return f"FFElem({self.code} in GF({self.ctx.base.q}^{self.ctx.ext_degree}))"
@@ -321,10 +312,10 @@ class FieldCtx:
         order = p**deg
         if order >= FIELD_ORDER_CAP:
             raise DomainError(f"field order {base.q}^{ext_degree} exceeds cap 2^64")
-        if p != 2 and deg * (p - 1) ** 2 >= _DIGIT_PRODUCT_CAP:
+        if deg * (p - 1) ** 2 >= _DIGIT_PRODUCT_CAP:
             # a digit convolution sums deg products of two digits below p
             raise DomainError(f"p = {p}, degree {deg}: deg*(p-1)^2 reaches 2^63, "
-                              "beyond the int64 digit products of odd characteristic")
+                              "beyond the int64 digit products")
         self.base = base
         self.ext_degree = ext_degree
         self.char = p
@@ -334,15 +325,13 @@ class FieldCtx:
         self.group_factors = tuple(sorted(factorize(order - 1)))
         mod = _find_irreducible(p, deg)
         self._mod_digits = mod
-        self._mod_int = from_digits(mod, 2) if p == 2 else None
-        if p != 2:
-            # row i: the digits of x^(deg+i) mod the modulus
-            fold = np.empty((deg - 1, deg), np.int64)
-            row = x_deg = -np.array(mod[:deg], np.int64) % p
-            for i in range(deg - 1):
-                fold[i] = row
-                row = (np.concatenate(([0], row[:-1])) + row[-1] * x_deg) % p
-            self._fold = fold
+        # row i: the digits of x^(deg+i) mod the modulus
+        fold = np.empty((deg - 1, deg), np.int64)
+        row = x_deg = -np.array(mod[:deg], np.int64) % p
+        for i in range(deg - 1):
+            fold[i] = row
+            row = (np.concatenate(([0], row[:-1])) + row[-1] * x_deg) % p
+        self._fold = fold
         self._exp = None
         self._log = None
         self._embed_map = None
@@ -360,7 +349,7 @@ class FieldCtx:
     # -- representation helpers --
 
     def zero(self) -> FFElem:
-        return FFElem(0 if self.char == 2 else (0,) * self.deg, self)
+        return FFElem((0,) * self.deg, self)
 
     def one(self) -> FFElem:
         return self.from_code(1)
@@ -368,8 +357,6 @@ class FieldCtx:
     def from_code(self, code: int) -> FFElem:
         if not 0 <= code < self.order:
             raise DomainError(f"code {code} outside field of order {self.order}")
-        if self.char == 2:
-            return FFElem(code, self)
         return FFElem(to_digits(code, self.char, self.deg), self)
 
     def elements(self):
@@ -390,16 +377,13 @@ class FieldCtx:
 
     def add(self, a: FFElem, b: FFElem) -> FFElem:
         self._check(a), self._check(b)
-        if self.char == 2:
-            return FFElem(a.val ^ b.val, self)
         p = self.char
-        return FFElem(tuple((x + y) % p for x, y in zip(a.val, b.val)), self)
+        return FFElem(tuple((x + y) % p for x, y in zip(a.digits, b.digits)), self)
 
     def neg(self, a: FFElem) -> FFElem:
-        if self.char == 2:
-            return a
+        self._check(a)
         p = self.char
-        return FFElem(tuple(-x % p for x in a.val), self)
+        return FFElem(tuple(-x % p for x in a.digits), self)
 
     def mul(self, a: FFElem, b: FFElem) -> FFElem:
         self._check(a), self._check(b)
@@ -408,24 +392,12 @@ class FieldCtx:
             if ca == 0 or cb == 0:
                 return self.zero()
             return self.from_code(self._exp[self._log[ca] + self._log[cb]])
-        if self.char == 2:
-            r = 0
-            x, y = a.val, b.val
-            while x:
-                r ^= y << ((x & -x).bit_length() - 1)
-                x &= x - 1
-            return FFElem(self._reduce2(r), self)
         p, deg = self.char, self.deg
-        c = np.convolve(a.val, b.val) % p
+        c = np.convolve(a.digits, b.digits) % p
         return FFElem(tuple(((c[:deg] + c[deg:] @ self._fold) % p).tolist()), self)
 
-    def _reduce2(self, r):
-        m, d = self._mod_int, self.deg
-        while r.bit_length() > d:
-            r ^= m << (r.bit_length() - 1 - d)
-        return r
-
     def pow(self, a: FFElem, k: int) -> FFElem:
+        self._check(a)
         if not a:
             if k == 0:
                 return self.one()
@@ -465,6 +437,7 @@ class FieldCtx:
 
     def scalar_code(self, a: FFElem):
         """Code of a in F_q if a lies in the embedded base field, else None."""
+        self._check(a)
         if self.base.e == 1:
             return a.code if a.code < self.char else None
         return self._unembed_map.get(a.code)

@@ -120,10 +120,6 @@ def _at_powers(ctx: FieldCtx, coeffs, maps: np.ndarray, sign: int) -> np.ndarray
     return values
 
 
-def _element(ctx: FieldCtx, digits) -> FFElem:
-    return FFElem(from_digits(digits, 2) if ctx.char == 2 else tuple(digits), ctx)
-
-
 def ms_forward(word, q, zeta: FFElem | None = None) -> MSVector:
     """Evaluate the word's polynomial at zeta^1..zeta^n.
 
@@ -141,7 +137,7 @@ def ms_forward(word, q, zeta: FFElem | None = None) -> MSVector:
         zeta = nth_root_of_unity(ctx, n)
     maps = _power_maps(ctx, zeta, n)
     values = _at_powers(ctx, [ctx.embed_scalar(c) for c in word], maps, 1)
-    return MSVector(n, field, ctx, tuple(_element(ctx, v) for v in values.tolist()))
+    return MSVector(n, field, ctx, tuple(FFElem(tuple(v), ctx) for v in values.tolist()))
 
 
 def ms_inverse(msv: MSVector, zeta: FFElem | None = None) -> tuple:
@@ -161,7 +157,7 @@ def ms_inverse(msv: MSVector, zeta: FFElem | None = None) -> tuple:
     sums = sums * pow(n % p, p - 2, p) % p
     word = []
     for acc in sums[-1:].tolist() + sums[:-1].tolist():
-        code = ctx.scalar_code(_element(ctx, acc))
+        code = ctx.scalar_code(FFElem(tuple(acc), ctx))
         if code is None:
             raise InternalError("inverse transform left the base field despite conjugacy")
         word.append(code)

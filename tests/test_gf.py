@@ -218,6 +218,7 @@ CANONICAL_CONTEXTS = {
     (2, 1, 14): (16417, 7, "FieldCtx(q=2, m=14, modulus_code=16417)"),
     (2, 1, 20): (1048585, 2, "FieldCtx(q=2, m=20, modulus_code=1048585)"),
     (2, 1, 33): (8589934667, 3, "FieldCtx(q=2, m=33, modulus_code=8589934667)"),
+    (2, 1, 63): (9223372036854775811, 2, "FieldCtx(q=2, m=63, modulus_code=9223372036854775811)"),
     (3, 1, 6): (734, 3, "FieldCtx(q=3, m=6, modulus_code=734)"),
     (3, 1, 10): (59068, 34, "FieldCtx(q=3, m=10, modulus_code=59068)"),
     (3, 1, 16): (43046758, 4, "FieldCtx(q=3, m=16, modulus_code=43046758)"),
@@ -294,16 +295,17 @@ def _fpoly_product(p, a, b, mod):
     return ((FPoly(field, a) * FPoly(field, b)) % FPoly(field, mod)).padded(len(mod) - 1)
 
 
-_UNTABLED_ODD = ((3, 16), (5, 16), (3, 30), (7, 12), (13, 10))
+_UNTABLED = ((2, 20), (2, 33), (2, 63), (3, 16), (5, 16), (3, 30), (7, 12), (13, 10))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(_UNTABLED_ODD).flatmap(
+@given(st.sampled_from(_UNTABLED).flatmap(
     lambda pm: st.tuples(st.just(pm), st.integers(0, pm[0] ** pm[1] - 1),
                          st.integers(0, pm[0] ** pm[1] - 1))))
 @example(((13, 10), 13**10 - 1, 13**10 - 1))
 @example(((3, 30), 3**30 - 1, 3**29))
-def test_untabled_odd_product_is_the_fpoly_product(case):
+@example(((2, 63), 2**63 - 1, 2**63 - 1))
+def test_untabled_product_is_the_fpoly_product(case):
     (p, m), a, b = case
     ctx = field_ctx(p, 1, m)
     assert ctx._exp is None
@@ -311,6 +313,18 @@ def test_untabled_odd_product_is_the_fpoly_product(case):
     mod = ctx.modulus
     want = (FPoly(mod.field, x.digits) * FPoly(mod.field, y.digits)) % mod
     assert ctx.mul(x, y).digits == want.padded(ctx.deg)
+
+
+@pytest.mark.parametrize("pem,other", [((2, 1, 4), (2, 1, 5)), ((2, 1, 20), (2, 1, 21)),
+                                       ((3, 1, 2), (5, 1, 2)), ((3, 1, 16), (3, 1, 17))])
+def test_arithmetic_across_contexts_is_refused(pem, other):
+    # tabled and untabled, p = 2 and odd p; b is a unit of another field
+    ctx = field_ctx(*pem)
+    a, b = ctx.primitive_elt, field_ctx(*other).primitive_elt
+    for op in (lambda: a - b, lambda: ctx.neg(b), lambda: ctx.pow(b, 2), lambda: ctx.inv(b),
+               lambda: ctx.scalar_code(b)):
+        with pytest.raises(DomainError, match="different field contexts"):
+            op()
 
 
 def test_field_past_int64_digit_products_is_refused():

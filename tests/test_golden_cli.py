@@ -62,6 +62,9 @@ COMMANDS = [
     ["asym", "--what", "f-alpha", "--p", "31", "--alpha", "0.4"],
     ["asym", "--what", "entropy", "--x", "0.25"],
     ["asym", "--what", "ram-bound", "--p", "9", "--composite-ok"],
+    # F_{2^20}, an untabled binary field: the labels and the transform values
+    ["factor", "--n", "41", "--q", "2"],
+    ["ms", "--q", "2", "--word", "11010000000000000000000000000000000000001"],
 ]
 
 
