@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .gf import DomainError, InternalError, PrimePower, _scalar_tables, from_digits
-from .polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
+from .polyring import _INT64, FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
 
 DEFAULT_BUDGET = 1 << 28
 _TABLE = 1 << 16  # messages the q-ary exhaustive kernel tables: its codes have q^dim within it
@@ -271,7 +271,9 @@ def _systematic_rows(code: CyclicCode):
     With m = n - k = deg g and r_i = x^(m+i) mod g, row i is x^i - x^k r_i: g
     divides it, since x^k r_i = x^(n+i) = x^i mod g.  r_0 = x^m - g, and each
     r_(i+1) is x r_i less its x^m coefficient times g.  Bitmask ints for q = 2,
-    a numpy int64 matrix of scalar codes for q > 2."""
+    a numpy matrix of scalar codes for q > 2: int64 while a sum of k
+    products of two codes fits it, else Python integers, so that every
+    _scalar_ops dot with these rows is exact."""
     n, k = code.n, code.dim
     m = n - k
     if code.q == 2:
@@ -283,8 +285,9 @@ def _systematic_rows(code: CyclicCode):
             r <<= 1
         return rows
     add, neg, dot = _scalar_ops(code.field)
-    g, r = np.array(code.gen.coeffs, np.int64), np.zeros(m + 1, np.int64)
-    rows = np.zeros((k, n), np.int64)
+    dtype = np.int64 if k * (code.q - 1) ** 2 < _INT64 else object
+    g, r = np.array(code.gen.coeffs, dtype), np.zeros(m + 1, dtype)
+    rows = np.zeros((k, n), dtype)
     r[m] = 1
     for i in range(k):
         r = add(r, neg(dot(r[m:], g[None])))

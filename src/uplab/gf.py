@@ -8,18 +8,17 @@ multiplicative order in the same code order.  Two builds with the same
 parameters are therefore bit-identical, here and in any reimplementation
 that follows the same two rules.
 
-Products: a field of order up to 2^16 multiplies through exp/log tables of
-the primitive element.  The tables are built by doubling: with S the F_p
-matrix of y -> y*prim, the digit rows of prim^(2^k..2^(k+1)-1) are the rows
-of prim^(0..2^k-1) times S^(2^k).  A larger field convolves the two digit
-vectors and folds the high half back with a fixed matrix whose row i holds
-the digits of x^(deg+i) mod the modulus.  Those digit products are int64, so
-a field needs deg*(p-1)^2 < 2^63 and is refused otherwise.
+Products: an element is its deg base-p digits, and every product convolves
+the two digit vectors and folds the high half back with a fixed matrix whose
+row i holds the digits of x^(deg+i) mod the modulus; every power is
+square-and-multiply.  Those digit products are int64, so a field needs
+deg*(p-1)^2 < 2^63 and is refused otherwise.
 
 Elements of F_{p^e} with e >= 2 appearing as *scalars* (e.g. polynomial
 coefficients) are also integer codes 0..q-1 under the same digit convention.
-Their products and inverses are read off the exp/log tables of the context
-F_{p^e} itself, whose modulus is the same canonical degree-e polynomial.
+Their sums, products and inverses are tabled once per field, straight from
+the canonical degree-e modulus, which is also the modulus of F_{p^e} as a
+context of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 
 FIELD_ORDER_CAP = 1 << 64  # contexts with p^(e*m) beyond this are refused
 _DIGIT_PRODUCT_CAP = 1 << 63  # deg*(p-1)^2 must stay below, as in int64
-_TABLE_CAP = 1 << 16       # exp/log tables built for fields up to this order
 _SCALAR_CAP = 1 << 9       # prime-power scalar fields get full op tables
 
 
@@ -243,19 +241,30 @@ class PrimePower:
 
 @lru_cache(maxsize=None)
 def _scalar_tables(p, e):
+    """The add, mul and inv tables of F_{p^e} on the codes 0..q-1, from the
+    canonical degree-e modulus.
+
+    Row r of the F_p matrix of a holds the digits of a*x^r, so a*b is the
+    sum of b_r times row r.  The columns of mul are filled a block at a
+    time: b = d*p^r + c with c < p^r gives a*b = a*((d-1)*p^r + c) + a*x^r,
+    one gather from the add table per entry."""
     q = p**e
     if q > _SCALAR_CAP:
         raise DomainError(f"prime-power scalar field F_{q} beyond table cap {_SCALAR_CAP}")
-    # F_{p^e} as a field of its own has the same canonical modulus, so its
-    # exp/log tables give the products and inverses
-    ctx = field_ctx(p, 1, e)
-    exp, log = np.array(ctx._exp), np.array(ctx._log)
-    mul = exp[log[:, None] + log[None, :]]
-    mul[0, :] = mul[:, 0] = 0
-    inv = [0] + exp[q - 1 - log[1:]].tolist()
-    digits = [np.arange(q) // p**j % p for j in range(e)]
-    add = sum((d[:, None] + d) % p * p**j for j, d in enumerate(digits))
-    return (tuple(map(tuple, add.tolist())), tuple(map(tuple, mul.tolist())), tuple(inv))
+    dtype = np.min_scalar_type(q * p)  # above every code, and (p-1)^2 plus a digit
+    weights = p ** np.arange(e, dtype=dtype)
+    digits = np.arange(q, dtype=dtype)[:, None] // weights % p
+    add = sum((d[:, None] + d) % p * w for d, w in zip(digits.T, weights))
+    x_e = (-np.array(_find_irreducible(p, e)[:e]) % p).astype(dtype)  # x^e mod the modulus
+    mul = np.zeros((q, q), dtype)
+    shifted = digits  # row a: the digits of a*x^r, row r of the matrix of a
+    for r in range(e):
+        s, a_xr = p**r, shifted @ weights
+        for d in range(1, p):
+            mul[:, d * s:(d + 1) * s] = add[mul[:, (d - 1) * s:d * s], a_xr[:, None]]
+        shifted = (np.pad(shifted[:, :-1], ((0, 0), (1, 0))) + shifted[:, -1:] * x_e) % p
+    inv = np.argmax(mul == 1, axis=1)  # 0 for a = 0, whose row holds no 1
+    return (tuple(map(tuple, add.tolist())), tuple(map(tuple, mul.tolist())), tuple(inv.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +341,11 @@ class FieldCtx:
             fold[i] = row
             row = (np.concatenate(([0], row[:-1])) + row[-1] * x_deg) % p
         self._fold = fold
-        self._exp = None
-        self._log = None
         self._embed_map = None
         self._unembed_map = None
 
         prim = self._find_primitive()
         self.primitive_elt = prim
-        if order <= _TABLE_CAP:
-            self._build_tables(prim)
         if base.e >= 2:
             self._build_embedding()
         if mult_order(prim) != self.group_order:
@@ -387,11 +392,6 @@ class FieldCtx:
 
     def mul(self, a: FFElem, b: FFElem) -> FFElem:
         self._check(a), self._check(b)
-        if self._exp is not None:
-            ca, cb = a.code, b.code
-            if ca == 0 or cb == 0:
-                return self.zero()
-            return self.from_code(self._exp[self._log[ca] + self._log[cb]])
         p, deg = self.char, self.deg
         c = np.convolve(a.digits, b.digits) % p
         return FFElem(tuple(((c[:deg] + c[deg:] @ self._fold) % p).tolist()), self)
@@ -407,8 +407,6 @@ class FieldCtx:
         k %= self.group_order
         if k == 0:
             return self.one()
-        if self._exp is not None:
-            return self.from_code(self._exp[self._log[a.code] * k % self.group_order])
         r = self.one()
         while k:
             if k & 1:
@@ -457,30 +455,6 @@ class FieldCtx:
             if self._order_is_full(a):
                 return a
         raise InternalError("no primitive element found; field construction is broken")
-
-    def _build_tables(self, prim):
-        # Row i of `powers` holds the digits of prim^i.  y -> y*prim is the
-        # F_p-linear map `step`, so the rows 2^k..2^(k+1)-1 are the rows
-        # 0..2^k-1 times step^(2^k).  The dtype is the narrowest that holds a
-        # row times a matrix before the reduction mod p.
-        p, d, g = self.char, self.deg, self.group_order
-        dtype = np.min_scalar_type(d * (p - 1) ** 2)
-        step = np.array([self.mul(self.from_code(p**j), prim).digits for j in range(d)], dtype)
-        powers = np.zeros((g, d), dtype)
-        powers[0, 0] = 1
-        done, jump = 1, step
-        while done < g:
-            k = min(done, g - done)
-            powers[done:done + k] = powers[:k] @ jump % p
-            done += k
-            jump = jump @ jump % p
-        if (powers[-1] @ step % p).tolist() != [1] + [0] * (d - 1):
-            raise InternalError("primitive element order mismatch while building tables")
-        codes = np.einsum("ij,j->i", powers, p ** np.arange(d))  # no int64 copy of powers
-        log = np.zeros(self.order, np.int64)
-        log[codes] = np.arange(g)
-        self._exp = codes.tolist() * 2
-        self._log = log.tolist()
 
     def _build_embedding(self):
         # image of the canonical F_q generator: the smallest root (by code)

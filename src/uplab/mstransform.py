@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import (DomainError, FFElem, FieldCtx, InternalError, PrimePower, from_digits,
+from .gf import (DomainError, FFElem, FieldCtx, PrimePower, from_digits,
                  nth_root_of_unity, splitting_ctx, to_digits)
 from .polyring import (_ALPHABET, FPoly, factor_xn_minus_1, poly_gcd, word_to_poly,
                        xn_minus_1)
@@ -141,15 +141,19 @@ def ms_forward(word, q, zeta: FFElem | None = None) -> MSVector:
 
 
 def ms_inverse(msv: MSVector, zeta: FFElem | None = None) -> tuple:
-    """Recover the word: f_j = n^{-1} * sum_i F_i zeta^{-ij}; the conjugacy
-    invariant is checked first since it characterizes transforms of F_q words.
+    """Recover the word: f_j = n^{-1} * sum_i F_i zeta^{-ij}.
     The sum is F_n + F_1 y + ... + F_{n-1} y^{n-1} at y = zeta^-j, so the
     values at zeta^-1, ..., zeta^-n are f_1, ..., f_{n-1}, f_0.  zeta must be
     the primitive n-th root of unity the forward transform used; any other
-    zeta is refused with DomainError."""
-    if not msv.conjugacy_ok():
-        raise DomainError("conjugacy constraint violated: not the transform of a base-field word")
+    zeta is refused with DomainError.
+
+    The transform is a bijection of F_{q^m}^n onto itself that maps F_q^n
+    onto the vectors satisfying conjugacy, so the inverse lies in F_q^n
+    exactly when msv satisfies conjugacy: a result outside F_q is refused as
+    a conjugacy violation.  Values from another field context are refused."""
     ctx, n, p = msv.ctx, msv.n, msv.ctx.char
+    for v in msv.values:
+        ctx._check(v)
     if zeta is None:
         zeta = nth_root_of_unity(ctx, n)
     maps = _power_maps(ctx, zeta, n)
@@ -159,7 +163,7 @@ def ms_inverse(msv: MSVector, zeta: FFElem | None = None) -> tuple:
     for acc in sums[-1:].tolist() + sums[:-1].tolist():
         code = ctx.scalar_code(FFElem(tuple(acc), ctx))
         if code is None:
-            raise InternalError("inverse transform left the base field despite conjugacy")
+            raise DomainError("conjugacy constraint violated: not the transform of a base-field word")
         word.append(code)
     return tuple(word)
 

@@ -461,6 +461,44 @@ def test_systematic_rows_are_the_systematic_basis(case, pick):
         assert (FPoly(code.field, row) % code.gen).is_zero()
 
 
+def _rank_mod(rows, p):
+    """Rank over F_p of integer rows, by elimination in Python integers."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * pow(rows[rank][col], -1, p)
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def rank_distance_oracle(code):
+    """n less the most positions S on which a nonzero codeword vanishes, that
+    is, on which the shifted-generator rows x^i g have rank below k; over a
+    prime field, in Python integers, with no message enumerated."""
+    n, k, p = code.n, code.dim, code.q
+    gen = code.gen.padded(n)
+    rows = [[gen[(j - i) % n] for j in range(n)] for i in range(k)]
+    return next(n - size for size in range(n - 1, k - 2, -1)
+                for cols in itertools.combinations(range(n), size)
+                if _rank_mod([[row[j] for j in cols] for row in rows], p) < k)
+
+
+@pytest.mark.parametrize("p", [3037000493, 3037000507, 2**32 + 15, 2**61 - 1])
+def test_distances_past_int64_products_match_a_rank_oracle(p):
+    # the largest prime with (p - 1)^2 < 2^63, then three past it, where an
+    # int64 product wraps: basis rows and distances must still be exact
+    for code in enumerate_codes(6, p):
+        for row in _systematic_rows(code):
+            assert (FPoly(code.field, [int(c) for c in row]) % code.gen).is_zero(), code
+        r, d = min_distance(code), rank_distance_oracle(code)
+        assert r.lower <= d <= r.upper and (d == r.lower or not r.exact), (code, r, d)
+
+
 def _multiplier_reps_oracle(n, q):
     """The first unit met in each coset of <q> in (Z/n)*, scanning upwards."""
     reps, seen = [], set()

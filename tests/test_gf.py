@@ -210,8 +210,8 @@ def test_digit_codec_order():
 
 # Canonical contexts, pinned so that no change to the products or the tables
 # can move them: (p, e, m) -> modulus code, primitive code, repr; and for
-# e >= 2 the embedded code of each base-field scalar 0..q-1.  Tabled and
-# untabled fields, p = 2 and odd p.
+# e >= 2 the embedded code of each base-field scalar 0..q-1.  Fields of order
+# up to 2^16 and past it, p = 2 and odd p.
 CANONICAL_CONTEXTS = {
     (2, 1, 4): (19, 2, "FieldCtx(q=2, m=4, modulus_code=19)"),
     (2, 1, 8): (283, 3, "FieldCtx(q=2, m=8, modulus_code=283)"),
@@ -295,20 +295,22 @@ def _fpoly_product(p, a, b, mod):
     return ((FPoly(field, a) * FPoly(field, b)) % FPoly(field, mod)).padded(len(mod) - 1)
 
 
-_UNTABLED = ((2, 20), (2, 33), (2, 63), (3, 16), (5, 16), (3, 30), (7, 12), (13, 10))
+# p = 2 and odd p, orders up to 2^16 (2^8, 2^16, 3^6, 5^6, 13^4) and past it
+_PRODUCT_FIELDS = ((2, 8), (2, 16), (3, 6), (5, 6), (13, 4), (2, 20), (2, 33), (2, 63),
+                   (3, 16), (5, 16), (3, 30), (7, 12), (13, 10))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(_UNTABLED).flatmap(
+@given(st.sampled_from(_PRODUCT_FIELDS).flatmap(
     lambda pm: st.tuples(st.just(pm), st.integers(0, pm[0] ** pm[1] - 1),
                          st.integers(0, pm[0] ** pm[1] - 1))))
 @example(((13, 10), 13**10 - 1, 13**10 - 1))
 @example(((3, 30), 3**30 - 1, 3**29))
 @example(((2, 63), 2**63 - 1, 2**63 - 1))
-def test_untabled_product_is_the_fpoly_product(case):
+@example(((5, 6), 5**6 - 1, 5**6 - 2))
+def test_field_product_is_the_fpoly_product(case):
     (p, m), a, b = case
     ctx = field_ctx(p, 1, m)
-    assert ctx._exp is None
     x, y = ctx.from_code(a), ctx.from_code(b)
     mod = ctx.modulus
     want = (FPoly(mod.field, x.digits) * FPoly(mod.field, y.digits)) % mod
@@ -318,7 +320,7 @@ def test_untabled_product_is_the_fpoly_product(case):
 @pytest.mark.parametrize("pem,other", [((2, 1, 4), (2, 1, 5)), ((2, 1, 20), (2, 1, 21)),
                                        ((3, 1, 2), (5, 1, 2)), ((3, 1, 16), (3, 1, 17))])
 def test_arithmetic_across_contexts_is_refused(pem, other):
-    # tabled and untabled, p = 2 and odd p; b is a unit of another field
+    # orders up to 2^16 and past it, p = 2 and odd p; b is a unit of another field
     ctx = field_ctx(*pem)
     a, b = ctx.primitive_elt, field_ctx(*other).primitive_elt
     for op in (lambda: a - b, lambda: ctx.neg(b), lambda: ctx.pow(b, 2), lambda: ctx.inv(b),
@@ -346,25 +348,6 @@ def test_largest_admitted_prime_squares_minus_one_to_one():
     minus_one = ctx.from_code(p - 1)
     assert ctx.mul(minus_one, minus_one) == ctx.one()
     assert ctx.mul(minus_one, ctx.from_code(2)).code == p - 2
-
-
-_TABLED =[(p, d) for p in (2, 3, 5, 7, 11, 13) for d in range(1, 17) if p**d <= 1 << 16]
-
-
-@pytest.mark.parametrize("p,d", _TABLED)
-def test_exp_table_steps_by_the_primitive_element(p, d):
-    ctx = field_ctx(p, 1, d)
-    g, exp, log = ctx.group_order, ctx._exp, ctx._log
-    assert len(exp) == 2 * g and exp[:g] == exp[g:] and exp[0] == 1
-    assert all(log[c] == i for i, c in enumerate(exp[:g]))
-    mod, prim = ctx._mod_digits, ctx.primitive_elt.digits
-    # y -> y*prim is F_p-linear; its rows x^j*prim are FPoly products
-    step = np.array([_fpoly_product(p, (0,) * j + (1,), prim, mod) for j in range(d)])
-    weights = p ** np.arange(d)
-    digits = np.array(exp[:g])[:, None] // weights % p
-    assert (digits @ step % p @ weights).tolist() == exp[1:g + 1]
-    for i in random.Random(g).sample(range(g), min(g, 40)):
-        assert exp[i + 1] == from_digits(_fpoly_product(p, to_digits(exp[i], p, d), prim, mod), p)
 
 
 _SCALAR_FIELDS = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19) for e in range(2, 10)

@@ -65,6 +65,8 @@ COMMANDS = [
     # F_{2^20}, an untabled binary field: the labels and the transform values
     ["factor", "--n", "41", "--q", "2"],
     ["ms", "--q", "2", "--word", "11010000000000000000000000000000000000001"],
+    # F_{5^6}, of order below 2^16: the one convolve-and-fold product
+    ["ms", "--q", "5", "--word", "1203401"],
 ]
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from uplab import mstransform
-from uplab.gf import (FIELD_ORDER_CAP, DomainError, PrimePower, from_digits, nth_root_of_unity,
-                      ord_mod, splitting_ctx, to_digits)
+from uplab.gf import (FIELD_ORDER_CAP, DomainError, FFElem, PrimePower, field_ctx, from_digits,
+                      nth_root_of_unity, ord_mod, splitting_ctx, to_digits)
 from uplab.polyring import factor_xn_minus_1, poly_gcd, word_to_poly, xn_minus_1
 from uplab.mstransform import (_EXHAUSTIVE_CAP, MSVector, UPScanReport, _check_length,
                                _remainder_map, _word_string, ms_forward, ms_inverse,
@@ -135,6 +135,22 @@ def test_inverse_rejects_tampered_vector():
     bad_last = MSVector(msv.n, msv.field, ctx, msv.values[:-1] + (ctx.primitive_elt,))
     with pytest.raises(DomainError):
         ms_inverse(bad_last)
+
+
+@pytest.mark.parametrize("n,q", [(7, 3), (21, 5), (17, 3), (7, 4)])
+def test_inverse_refuses_values_off_conjugacy_or_from_another_context(n, q):
+    # F_{3^6}, F_{5^6}, F_{3^16} and F_{4^3}: prime and prime-power q
+    msv = ms_forward(tuple((i * i + 1) % q for i in range(n)), q)
+    ctx = msv.ctx
+    p, d = ctx.char, ctx.deg
+    shifted = (msv.values[0] + ctx.one(),) + msv.values[1:]  # value(q) != value(1)^q now
+    with pytest.raises(DomainError, match="conjugacy"):
+        ms_inverse(MSVector(n, msv.field, ctx, shifted))
+    # the same digits in another context of degree d over F_p
+    other = field_ctx(p, 1, d) if ctx.base.e > 1 else field_ctx(p, 2, d // 2)
+    rebuilt = tuple(FFElem(v.digits, other) for v in msv.values)
+    with pytest.raises(DomainError, match="different field contexts"):
+        ms_inverse(MSVector(n, msv.field, ctx, rebuilt))
 
 
 def test_naive_up_check_examples():
