@@ -14,8 +14,10 @@ x^(n-k+i) mod g with no elimination.  Two facts about cyclic codes keep the
 deepening cheap.  Every k cyclically consecutive coordinates form an
 information set, so one systematic basis certifies a bound over all n
 windows at once.  And a unit u mod n maps the code with zero set Z onto the
-code with zero set uZ (x -> x^u permutes coordinates), so mu computes one
-distance per multiplier orbit.
+code with zero set uZ (x -> x^u permutes coordinates), so mu takes one bch
+bound per multiplier orbit and shares one distance among its codes.  The
+orbits are found on coset masks: a unit permutes the q-cyclotomic cosets,
+and with them the bits of every code's mask.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ DEFAULT_BUDGET = 1 << 28
 _TABLE = 1 << 16  # messages the q-ary exhaustive kernel tables: its codes have q^dim within it
 _WORD = 0xFFFFFFFFFFFFFFFF
 _BLOCK = 1 << 20  # array entries per vectorised pass in the deepening scans
-_PASS = 1 << 14  # array entries per vectorised pass in the designed-distance bounds
-_ENUM_CAP_T = 20  # refuse 2^t divisor lattices beyond this: a code holds about 1 KB
+_PASS = 1 << 14  # array entries per vectorised pass in the designed-distance bounds and lattice
+_ENUM_CAP_T = 20  # refuse 2^t divisor lattices beyond this: mu holds about 1.6 KiB a divisor
 
 
 @dataclass(frozen=True)
@@ -166,28 +168,84 @@ class MuRecord:
 
 
 def enumerate_codes(n: int, q) -> list:
-    """All 2^t - 1 nonzero cyclic codes of length n, ascending generator degree.
+    """All 2^t - 1 nonzero cyclic codes of length n, ascending generator
+    degree, then generator coefficients (lowest degree first).
 
-    t is the number of irreducible factors of x^n - 1; the full product (the
-    zero code) is excluded, the trivial generator 1 (the whole space) is kept.
-    The generator of a coset mask is that of the mask without its lowest bit
-    times one factor.
+    t is the number of irreducible factors of x^n - 1, one per q-cyclotomic
+    coset; the full product (the zero code) is excluded, the trivial
+    generator 1 (the whole space) is kept.
     """
-    field = PrimePower.of(q)
+    return _lattice(n, PrimePower.of(q))[0]
+
+
+def _lattice(n: int, field: PrimePower) -> tuple:
+    """(codes, masks): enumerate_codes(n, q), and the coset mask of each code
+    as a numpy array, bit i set when coset i of cyclotomic_cosets(n, q) is a
+    zero coset.
+
+    The 2^t generators are the rows of one matrix, built a factor at a time:
+    rows 2^i..2^(i+1) - 1 are rows 0..2^i - 1 times factor i, so row m is
+    the generator of mask m.  The last row is x^n - 1, the zero code, and is
+    dropped.  One lexsort on (degree, coefficients) orders the rest; for
+    q <= 36 this is the order of (degree, generator string), since
+    same-degree strings have equal length over an alphabet sorted by digit
+    value.  Rows become tuples a block at a time, never the whole matrix.
+    """
     part = cyclotomic_cosets(n, field.q)
     t = len(part.cosets)
     if t > _ENUM_CAP_T:
         raise DomainError(f"{t} irreducible factors: 2^{t} divisors is not enumerable")
-    factors = factor_xn_minus_1(n, field)
-    gens = [FPoly.one(field)]
-    for mask in range(1, (1 << t) - 1):  # all proper subsets
-        gens.append(gens[mask & (mask - 1)] * factors[(mask & -mask).bit_length() - 1])
-    codes = [CyclicCode._from_cosets(field, part, [i for i in range(t) if mask >> i & 1], gen)
-             for mask, gen in enumerate(gens)]
-    # for q <= 36 this is the order of (degree, generator string): same-degree
-    # strings have equal length over an alphabet sorted by digit value
-    codes.sort(key=lambda c: (c.gen.degree, c.gen.coeffs))
-    return codes
+    gens = np.zeros((1 << t, n + 1), np.min_scalar_type(field.q - 1))
+    degree = np.zeros(1 << t, np.int64)
+    gens[0, 0], top = 1, 0  # top: the largest degree among the rows built so far
+    for i, f in enumerate(factor_xn_minus_1(n, field)):
+        s = 1 << i
+        gens[s:2 * s, :top + f.degree + 1] = _times(gens[:s, :top + 1], f)
+        degree[s:2 * s] = degree[:s] + f.degree
+        top += f.degree
+    gens, degree = gens[:-1], degree[:-1]
+    masks = np.lexsort([*gens.T[::-1], degree])
+    coset_of = _coset_of(part)
+    codes, step = [], max(1, _PASS // (n + 1))
+    for s in range(0, len(masks), step):
+        block = masks[s:s + step]
+        member = (block[:, None] >> coset_of & 1).astype(bool)  # row j: the zeros of block[j]
+        ends = np.cumsum(member.sum(axis=1)).tolist()
+        zeros = np.nonzero(member)[1].tolist()
+        for row, lo, hi, deg in zip(gens[block].tolist(), [0] + ends, ends,
+                                    degree[block].tolist()):
+            codes.append(CyclicCode(field, n, FPoly(field, tuple(row[:deg + 1])),
+                                    tuple(zeros[lo:hi])))
+    return codes, masks
+
+
+def _coset_of(part):
+    """The index of the coset that holds each z in 0..n-1."""
+    out = np.empty(part.n, np.int64)
+    out[np.concatenate(part.cosets)] = np.repeat(np.arange(len(part)), [len(c) for c in part.cosets])
+    return out
+
+
+def _times(rows, f: FPoly):
+    """Each row of a matrix, a polynomial lowest degree first, times f.
+
+    Coefficient j of a product is the window of d + 1 entries of the row
+    (padded by d zeros each side) that starts at j, dotted with f reversed;
+    the windows go through _scalar_ops a block of rows at a time.  The dot
+    runs in int64 while a sum of d + 1 products of two codes fits it, else in
+    Python integers, as in _systematic_rows."""
+    _, _, dot = _scalar_ops(f.field)
+    d, (b, width) = f.degree, rows.shape
+    dtype = np.int64 if (d + 1) * (f.field.q - 1) ** 2 < _INT64 else object
+    reverse = np.array(f.coeffs[::-1], dtype)[:, None]
+    windows = np.arange(width + d)[:, None] + np.arange(d + 1)
+    out = np.empty((b, width + d), rows.dtype)
+    step = max(1, _PASS // windows.size)
+    for s in range(0, b, step):
+        padded = np.zeros((min(step, b - s), width + 2 * d), rows.dtype)
+        padded[:, d:d + width] = rows[s:s + step]
+        out[s:s + step] = dot(padded[:, windows], reverse)[..., 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +569,22 @@ def _multiplier_reps(n: int, q: int) -> list:
     return [c[0] for c in cyclotomic_cosets(n, q).cosets if math.gcd(c[0], n) == 1]
 
 
-def _orbit_key(zeros, n: int, reps) -> tuple:
-    """The least sorted u*Z mod n over the multipliers: codes with the same key
-    are equivalent under a coordinate permutation x -> x^u and share d."""
-    return min(tuple(sorted(u * z % n for z in zeros)) for u in reps)
+def _orbit_keys(part, masks):
+    """The orbit key of each coset mask: its least image over the multiplier
+    reps u, where u moves coset i onto the coset that holds u*c_i.  Codes
+    with one key are equivalent under the coordinate permutation x -> x^u,
+    and share d and the bch and ht bounds (u maps a stride-b progression of
+    zeros onto one of stride ub, also coprime to n).  The images of all 2^t
+    masks are built a coset at a time, as _lattice builds the generators."""
+    n, t = part.n, len(part.cosets)
+    leaders, coset_of = np.array([coset[0] for coset in part.cosets]), _coset_of(part)
+    keys = np.arange(1 << t)  # the image under u = 1
+    for u in _multiplier_reps(n, part.q):
+        image = np.zeros(1 << t, np.int64)
+        for i, j in enumerate(coset_of[u * leaders % n].tolist()):
+            image[1 << i:2 << i] = image[:1 << i] | 1 << j
+        np.minimum(keys, image, out=keys)
+    return keys[masks]
 
 
 def mu(n: int, q, budget: int = DEFAULT_BUDGET, *, cache=None) -> MuRecord:
@@ -522,7 +592,8 @@ def mu(n: int, q, budget: int = DEFAULT_BUDGET, *, cache=None) -> MuRecord:
 
     Divisors are processed smallest dimension first with a best-so-far bound
     B; a code whose dim + bch bound already reaches B is recorded with its
-    bch bracket and skipped, which cannot change the minimum.  A code
+    bch bracket and skipped, which cannot change the minimum.  The bch bound
+    is computed once per multiplier orbit, on its first code.  A code
     equivalent to one already computed (same multiplier orbit) reuses that
     result, with work 0, when it is exact or its lower bound reaches the
     current target.  Only a code that is neither pruned nor reused reaches
@@ -531,22 +602,29 @@ def mu(n: int, q, budget: int = DEFAULT_BUDGET, *, cache=None) -> MuRecord:
     back inexact under the budget.
     """
     field = PrimePower.of(q)
-    codes = enumerate_codes(n, field)
-    order = sorted(range(len(codes)), key=lambda i: (codes[i].dim, codes[i].gen.coeffs))
-    reps = _multiplier_reps(n, field.q)
+    codes, masks = _lattice(n, field)
+    keys = _orbit_keys(cyclotomic_cosets(n, field.q), masks).tolist()
+    # codes come by (degree, generator); a stable sort on dim keeps the generator order
+    order = np.argsort([code.dim for code in codes], kind="stable").tolist()
     results = [None] * len(codes)
-    orbit_results = {}
+    orbit_bch, orbit_results = {}, {}
+    pruned = {}  # one bch_only bracket per bound: most divisors of a large lattice take one
     best = None  # (sum, code index) of the first exact minimiser
     inexact = []
     for i in order:
-        code = codes[i]
-        b = code._bch
+        code, orbit = codes[i], keys[i]
+        b = orbit_bch.get(orbit)
+        if b is None:
+            b = orbit_bch[orbit] = code._bch
+        else:  # the orbit's bound, where code._bch would cache it
+            code.__dict__["_bch"] = b
         if best is not None and code.dim + b >= best[0]:
-            results[i] = DistanceResult(b, n, False, "bch_only", 0)
+            if b not in pruned:
+                pruned[b] = DistanceResult(b, n, False, "bch_only", 0)
+            results[i] = pruned[b]
             continue
         # past the running minimum a certified bound is as good as exact
         target = best[0] - code.dim if best is not None else None
-        orbit = _orbit_key(code.zeros, n, reps)
         prior = orbit_results.get(orbit)
         if prior is not None and (prior.exact or (target is not None and prior.lower >= target)):
             res = replace(prior, work=0)
@@ -567,7 +645,7 @@ def mu(n: int, q, budget: int = DEFAULT_BUDGET, *, cache=None) -> MuRecord:
     exact = mu_lower == mu_upper
     witness = codes[best[1]]
     return MuRecord(field.q, n, mu_lower, mu_upper, exact, witness,
-                    tuple((codes[i], results[i]) for i in range(len(codes))))
+                    tuple(zip(codes, results)))
 
 
 @dataclass(frozen=True)

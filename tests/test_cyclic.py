@@ -6,14 +6,15 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from uplab import cyclic
 from uplab.cli import Cache
 from uplab.asymptotics import construction_demo
 from uplab.gf import DomainError, InternalError, PrimePower, from_digits, to_digits
 from uplab.polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
 from uplab.cyclic import (DEFAULT_BUDGET, _ENUM_CAP_T, _PASS, _TABLE, CyclicCode, DistanceResult,
-                          _bz_distance, _min_weight_qp, _orbit_key, _multiplier_reps,
+                          _bz_distance, _lattice, _min_weight_qp, _multiplier_reps, _orbit_keys,
                           _scan_weight_w_q2, _strides, _systematic_rows, bch_bound,
                           enumerate_codes, ht_bound, min_distance, mu, strong_up_witness)
 
@@ -216,7 +217,10 @@ def test_from_gen_roundtrip():
 
 def test_enumeration_matches_per_mask_products():
     # oracle: each mask's generator as the full product of its factors
-    for n, q in [(7, 2), (21, 2), (31, 2), (26, 3), (12, 5), (8, 9)]:
+    # and each code's mask; F_4 and F_8 multiply through their tables, and the
+    # two primes past 2^32 make the batched products pass int64
+    for n, q in [(7, 2), (21, 2), (31, 2), (26, 3), (12, 5), (8, 9), (21, 4), (15, 8),
+                 (6, 2**32 + 15), (6, 2**61 - 1)]:
         field = PrimePower.from_int(q)
         part, factors = cyclotomic_cosets(n, q), factor_xn_minus_1(n, field)
         t = len(factors)
@@ -227,9 +231,11 @@ def test_enumeration_matches_per_mask_products():
                 if mask >> i & 1:
                     gen = gen * factors[i]
                     zeros.extend(part.cosets[i])
-            expected.append((gen.degree, gen.coeffs, tuple(sorted(zeros))))
-        got = [(c.gen.degree, c.gen.coeffs, c.zeros) for c in enumerate_codes(n, q)]
-        assert got == sorted(expected)
+            expected.append((gen.degree, gen.coeffs, tuple(sorted(zeros)), mask))
+        codes, masks = _lattice(n, field)
+        got = [(c.gen.degree, c.gen.coeffs, c.zeros, m) for c, m in zip(codes, masks.tolist())]
+        assert got == sorted(expected), (n, q)
+        assert [c.gen for c in enumerate_codes(n, q)] == [c.gen for c in codes]
 
 
 def test_from_gen_refuses_the_zero_polynomial():
@@ -256,7 +262,8 @@ def test_enumeration_refuses_huge_lattices():
 
 
 def test_enumeration_cap_refuses_f9_length_40_at_once():
-    # 24 cosets: 2^24 codes at about 1 KB each would not fit in memory
+    # 24 cosets: 2^24 divisors would not fit in memory; mu(127, 2) peaks at
+    # 825 MiB over 2^19 of them, about 1.6 KiB each with its distance result
     assert len(cyclotomic_cosets(40, 9).cosets) == 24
     with pytest.raises(DomainError, match=r"2\^24"):
         enumerate_codes(40, 9)
@@ -517,9 +524,59 @@ def test_multiplier_reps_against_the_scan():
         for n in range(2, 200):
             if math.gcd(n, q) == 1:
                 assert _multiplier_reps(n, q) == _multiplier_reps_oracle(n, q), (n, q)
-    # n = 1: the one coset is {0}; every multiplier gives the same key
+    # n = 1: the one coset is {0}; its multiplier fixes every mask
     assert _multiplier_reps(1, 2) == [0]
-    assert _orbit_key((0,), 1, [0]) == _orbit_key((0,), 1, [1])
+    assert _orbit_keys(cyclotomic_cosets(1, 2), np.array([0, 1])).tolist() == [0, 1]
+
+
+def _orbit_key_oracle(zeros, n, reps):
+    """The least sorted u*Z mod n over the multipliers: the orbit key as a
+    tuple of zeros, one sort per multiplier and code."""
+    return min(tuple(sorted(u * z % n for z in zeros)) for u in reps)
+
+
+def _keyed_codes(n, q):
+    """enumerate_codes(n, q) and the mask orbit key of each code."""
+    codes, masks = _lattice(n, PrimePower.of(q))
+    return codes, _orbit_keys(cyclotomic_cosets(n, q), masks).tolist()
+
+
+def _mask_of(zeros, part):
+    """The coset mask of a zero set that is a union of cosets."""
+    return sum(1 << i for i, coset in enumerate(part.cosets) if coset[0] in zeros)
+
+
+@pytest.mark.parametrize("n,q", [(31, 2), (63, 2), (21, 4), (26, 3), (13, 9)])
+def test_mask_orbit_keys_partition_as_the_zero_set_keys(n, q):
+    codes, keys = _keyed_codes(n, q)
+    reps = _multiplier_reps(n, q)
+    by_mask, by_zeros = {}, {}
+    for i, (code, key) in enumerate(zip(codes, keys)):
+        by_mask.setdefault(key, set()).add(i)
+        by_zeros.setdefault(_orbit_key_oracle(code.zeros, n, reps), set()).add(i)
+    assert sorted(map(sorted, by_mask.values())) == sorted(map(sorted, by_zeros.values()))
+    # the key is the least mask of the orbit, over every unit (a sample of codes)
+    part = cyclotomic_cosets(n, q)
+    step = max(1, len(codes) // 300)
+    for code, key in zip(codes[::step], keys[::step]):
+        images = {_mask_of({u * z % n for z in code.zeros}, part) for u in range(n)
+                  if math.gcd(u, n) == 1}
+        assert key == min(images), code
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 45), st.integers(0, 2**45))
+def test_bounds_are_multiplier_invariant(q, n, bits):
+    # the facts that let mu take one bch bound per orbit: x -> x^u maps the
+    # code with zeros Z onto the code with zeros uZ, and u maps a stride-b
+    # progression onto a stride-ub one, ub also coprime to n
+    assume(math.gcd(n, q) == 1)
+    part = cyclotomic_cosets(n, q)
+    zeros = [z for i, coset in enumerate(part.cosets) if bits >> i & 1 for z in coset]
+    images = {tuple(sorted(u * z % n for z in zeros)) for u in range(1, n + 1)
+              if math.gcd(u, n) == 1}
+    assert {bch_bound(z, n) for z in images} == {bch_bound(zeros, n)}
+    assert {ht_bound(z, n) for z in images} == {ht_bound(zeros, n)}
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +625,14 @@ def test_bz_bracket_and_convergence():
     assert r.lower <= 5 <= r.upper
     r = min_distance(qr, budget=100)  # ceil(17 * 3 / 9) = 6 closes it at weight 2
     assert r.exact and r.method == "bz" and r.d == 5
-    codes = enumerate_codes(43, 2)
+    codes, keys = _keyed_codes(43, 2)
     c29 = [c for c in codes if c.dim == 29][0]
     r = min_distance(c29)
     assert r.exact and r.method == "bz"
     # dual route: 2^29 codewords are too many to tabulate, so deepen on an
     # equivalent code uZ, whose systematic basis differs
     twin = next(c for c in codes if c.dim == 29 and c.zeros != c29.zeros)
-    assert _orbit_key(twin.zeros, 43, _multiplier_reps(43, 2)) == \
-        _orbit_key(c29.zeros, 43, _multiplier_reps(43, 2))
+    assert keys[codes.index(twin)] == keys[codes.index(c29)]
     assert _systematic_rows(twin) != _systematic_rows(c29)
     again = min_distance(twin)
     assert again.exact and again.d == r.d
@@ -665,14 +721,15 @@ _EQUIVALENCE_CASES = [(15, 2), (17, 2), (21, 2), (23, 2), (31, 2), (13, 3), (11,
 def test_distance_invariant_under_multipliers(case, pick, unit):
     # x -> x^u permutes coordinates and maps the code with zeros Z to uZ
     n, q = case
-    codes = enumerate_codes(n, q)
-    code = codes[pick % len(codes)]
+    codes, keys = _keyed_codes(n, q)
+    i = pick % len(codes)
+    code = codes[i]
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
     u = units[unit % len(units)]
     image = tuple(sorted(u * z % n for z in code.zeros))
-    twin = next(c for c in codes if c.zeros == image)
-    reps = _multiplier_reps(n, q)
-    assert _orbit_key(code.zeros, n, reps) == _orbit_key(twin.zeros, n, reps)
+    j = next(j for j, c in enumerate(codes) if c.zeros == image)
+    twin = codes[j]
+    assert keys[i] == keys[j]
     assert twin.dim == code.dim
     assert min_distance(twin).d == min_distance(code).d
 
@@ -926,16 +983,28 @@ def test_mu_103_exact_at_raised_budget():
 @pytest.mark.parametrize("n", [23, 71])
 def test_mu_reuses_equivalent_codes(n):
     rec = mu(n, 2)
-    reps = _multiplier_reps(n, 2)
+    _, keys = _keyed_codes(n, 2)
     by_orbit = {}
-    for code, res in rec.per_divisor:
+    for (code, res), key in zip(rec.per_divisor, keys):
         if res.method != "bch_only":
-            by_orbit.setdefault(_orbit_key(code.zeros, n, reps), []).append(res)
+            by_orbit.setdefault(key, []).append(res)
     assert any(len(group) > 1 for group in by_orbit.values())
     for group in by_orbit.values():
         # one computation per orbit; its equivalents copy it with work 0
         assert sum(r.work > 0 for r in group) == 1
         assert len({(r.lower, r.upper, r.exact, r.method) for r in group}) == 1
+
+
+@pytest.mark.parametrize("n,q", [(31, 2), (21, 4)])
+def test_mu_bounds_each_orbit_once(n, q, monkeypatch):
+    calls, bound = [], cyclic.bch_bound
+    monkeypatch.setattr(cyclic, "bch_bound", lambda zeros, n: calls.append(zeros) or bound(zeros, n))
+    rec = mu(n, q)
+    _, keys = _keyed_codes(n, q)
+    assert len(calls) == len(set(keys)) < len(keys)
+    # the codes that took their orbit's bound hold their own
+    for code, _ in rec.per_divisor:
+        assert code._bch == bch_oracle(code.zeros, n), code
 
 
 def test_mu_deterministic():

@@ -67,6 +67,10 @@ COMMANDS = [
     ["ms", "--q", "2", "--word", "11010000000000000000000000000000000000001"],
     # F_{5^6}, of order below 2^16: the one convolve-and-fold product
     ["ms", "--q", "5", "--word", "1203401"],
+    # lattices whose order within one dimension matters: 127 binary divisors,
+    # and 511 over F_4, whose products go through the field's tables
+    ["mu", "--n", "31", "--q", "2", "--divisors"],
+    ["mu", "--n", "21", "--q", "4", "--divisors"],
 ]
 
 

@@ -3,11 +3,12 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from uplab.cyclic import _multiplier_reps, _orbit_key, bch_bound, enumerate_codes, ht_bound
+from uplab.cyclic import _lattice, _orbit_keys, bch_bound, ht_bound
 from uplab.gf import (FIELD_ORDER_CAP, DomainError, InternalError, PrimePower, nth_root_of_unity,
                       ord_mod, splitting_ctx)
 from uplab.polyring import (_FACTOR_CAP, _NUMPY_LEN, FPoly, _coset_values, _recurrence_values,
@@ -166,14 +167,15 @@ def test_default_labels_are_a_unit_multiple_of_the_canonical(case):
     assert math.gcd(u, n) == 1
     if len(part.cosets) > 6:
         return
-    reps = _multiplier_reps(n, q)
-    for code in enumerate_codes(n, field):
-        zeros = tuple(sorted(z for c, f in zip(part.cosets, reference)
-                             if (code.gen % f).is_zero() for z in c))
+    codes, masks = _lattice(n, field)
+    for code, mask in zip(codes, masks.tolist()):
+        chosen = [(code.gen % f).is_zero() for f in reference]
+        zeros = tuple(sorted(z for c, hit in zip(part.cosets, chosen) if hit for z in c))
         assert tuple(sorted(u * z % n for z in code.zeros)) == zeros
         assert bch_bound(code.zeros, n) == bch_bound(zeros, n)
         assert ht_bound(code.zeros, n) == ht_bound(zeros, n)
-        assert _orbit_key(code.zeros, n, reps) == _orbit_key(zeros, n, reps)
+        canonical = sum(1 << i for i, hit in enumerate(chosen) if hit)
+        assert len(set(_orbit_keys(part, np.array([mask, canonical])).tolist())) == 1
 
 
 @pytest.mark.parametrize("n,q", [(6, 1000003), (3, 65537), (4, 10007)])
