@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cyclic import DEFAULT_BUDGET, CyclicCode, min_distance, mu
 from .gf import DomainError, PrimePower, ord_mod
-from .polyring import FPoly, canonical_m1, cyclotomic_cosets, factor_xn_minus_1
+from .polyring import FPoly, canonical_m1, factor_xn_minus_1
 
 
 def entropy(x: float) -> float:
@@ -222,7 +222,6 @@ def construction_demo(q: int, p: int, R: float, seed: int = 0,
     if n > 127:
         raise DomainError(f"n = q^p - 1 = {n} beyond the construction cap 127")
     field = PrimePower.from_int(q)
-    part = cyclotomic_cosets(n, q)
     factors = factor_xn_minus_1(n, field, canonical_m1(n, field))  # chosen and gen read labels
     linear = [i for i, f in enumerate(factors) if f.degree == 1]
     deg_p = [i for i, f in enumerate(factors) if f.degree == p]
@@ -237,7 +236,7 @@ def construction_demo(q: int, p: int, R: float, seed: int = 0,
     gen = FPoly.one(field)
     for i in chosen:
         gen = gen * factors[deg_p[i]]
-    code = CyclicCode._from_cosets(field, part, [deg_p[i] for i in chosen], gen)
+    code = CyclicCode.from_gen(n, q, gen)
     dist = min_distance(code, budget)
     ball_exact, ball_log2 = ball_volume_upper(n, alpha, q)
     lam = lambda_n_bound(n, p, alpha, R)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as datafield, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -37,7 +37,7 @@ _TABLE = 1 << 16  # messages the q-ary exhaustive kernel tables: its codes have 
 _WORD = 0xFFFFFFFFFFFFFFFF
 _BLOCK = 1 << 20  # array entries per vectorised pass in the deepening scans
 _PASS = 1 << 14  # array entries per vectorised pass in the designed-distance bounds and lattice
-_ENUM_CAP_T = 20  # refuse 2^t divisor lattices beyond this: mu holds about 1.6 KiB a divisor
+_ENUM_CAP_T = 20  # refuse 2^t divisor lattices beyond this: mu takes 210 B a divisor, 1.6 KiB read out
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,6 @@ class CyclicCode:
         return self.gen.to_string()
 
     @classmethod
-    def _from_cosets(cls, field: PrimePower, part, chosen, gen: FPoly) -> "CyclicCode":
-        """The code generated by gen, the product of the factors of x^n - 1
-        at the coset indices chosen; its zeros are the union of those cosets."""
-        return cls(field, part.n, gen, tuple(sorted(z for i in chosen for z in part.cosets[i])))
-
-    @classmethod
     def from_gen(cls, n: int, q, gen) -> "CyclicCode":
         field = PrimePower.of(q)
         if isinstance(gen, str):
@@ -81,10 +75,8 @@ class CyclicCode:
             raise DomainError("generator must be a proper divisor of x^n - 1")
         if not (xn_minus_1(field, n) % gen).is_zero():
             raise DomainError("generator does not divide x^n - 1")
-        part = cyclotomic_cosets(n, field.q)
-        factors = factor_xn_minus_1(n, field)
-        code = cls._from_cosets(field, part, [i for i, f in enumerate(factors)
-                                              if (gen % f).is_zero()], gen)
+        mask = sum(1 << i for i, f in enumerate(factor_xn_minus_1(n, field)) if (gen % f).is_zero())
+        code = cls(field, n, gen, _zero_sets(cyclotomic_cosets(n, field.q), np.array([mask], object))[0])
         if len(code.zeros) != gen.degree:
             raise InternalError("zero count disagrees with generator degree")
         return code
@@ -131,7 +123,11 @@ class DistanceResult:
 
 @dataclass(frozen=True)
 class MuRecord:
-    """min(distance + dimension) over all nonzero cyclic codes of length n."""
+    """min(distance + dimension) over all nonzero cyclic codes of length n.
+
+    per_divisor, built on first read, pairs each divisor with the result mu
+    used: a bch_only bracket if pruned, the orbit's result with work 0 if an
+    equivalent code came first, else min_distance's (work 0 on a cache hit)."""
 
     q: int
     n: int
@@ -139,7 +135,15 @@ class MuRecord:
     mu_upper: int
     exact: bool
     witness: CyclicCode
-    per_divisor: tuple  # ((CyclicCode, DistanceResult), ...) in enumeration order
+    # (_codes's arguments, each divisor's index into results, results): one
+    # bch_only bracket per bound, one result per orbit computed and its work-0 copy
+    divisors: tuple = datafield(repr=False, compare=False)
+
+    @cached_property
+    def per_divisor(self) -> tuple:
+        """((CyclicCode, DistanceResult), ...) in enumeration order."""
+        lattice, slots, results = self.divisors
+        return tuple(zip(_codes(*lattice), map(results.__getitem__, slots.tolist())))
 
     @property
     def mu(self) -> int:
@@ -175,22 +179,17 @@ def enumerate_codes(n: int, q) -> list:
     coset; the full product (the zero code) is excluded, the trivial
     generator 1 (the whole space) is kept.
     """
-    return _lattice(n, PrimePower.of(q))[0]
+    field = PrimePower.of(q)
+    return _codes(field, cyclotomic_cosets(n, field.q), *_lattice(n, field))
 
 
 def _lattice(n: int, field: PrimePower) -> tuple:
-    """(codes, masks): enumerate_codes(n, q), and the coset mask of each code
-    as a numpy array, bit i set when coset i of cyclotomic_cosets(n, q) is a
-    zero coset.
-
-    The 2^t generators are the rows of one matrix, built a factor at a time:
-    rows 2^i..2^(i+1) - 1 are rows 0..2^i - 1 times factor i, so row m is
-    the generator of mask m.  The last row is x^n - 1, the zero code, and is
-    dropped.  One lexsort on (degree, coefficients) orders the rest; for
-    q <= 36 this is the order of (degree, generator string), since
-    same-degree strings have equal length over an alphabet sorted by digit
-    value.  Rows become tuples a block at a time, never the whole matrix.
-    """
+    """(gens, degree, masks): row m of gens is the generator, lowest degree
+    first, of the code whose zero cosets are the bits of mask m (bit i: coset
+    i of cyclotomic_cosets(n, q)); rows 2^i..2^(i+1) - 1 are rows 0..2^i - 1
+    times factor i, and the last, x^n - 1, is the zero code.  masks lists the
+    others by one lexsort on (degree, coefficients), for q <= 36 the order of
+    (degree, generator string)."""
     part = cyclotomic_cosets(n, field.q)
     t = len(part.cosets)
     if t > _ENUM_CAP_T:
@@ -203,20 +202,30 @@ def _lattice(n: int, field: PrimePower) -> tuple:
         gens[s:2 * s, :top + f.degree + 1] = _times(gens[:s, :top + 1], f)
         degree[s:2 * s] = degree[:s] + f.degree
         top += f.degree
-    gens, degree = gens[:-1], degree[:-1]
-    masks = np.lexsort([*gens.T[::-1], degree])
-    coset_of = _coset_of(part)
-    codes, step = [], max(1, _PASS // (n + 1))
+    return gens, degree, np.lexsort([*gens[:-1].T[::-1], degree[:-1]])
+
+
+def _codes(field: PrimePower, part, gens, degree, masks) -> list:
+    """The CyclicCode of each mask of a _lattice; rows become tuples a block
+    at a time, never the whole matrix."""
+    codes, zeros, step = [], iter(_zero_sets(part, masks)), max(1, _PASS // (part.n + 1))
     for s in range(0, len(masks), step):
         block = masks[s:s + step]
-        member = (block[:, None] >> coset_of & 1).astype(bool)  # row j: the zeros of block[j]
+        codes += [CyclicCode(field, part.n, FPoly(field, tuple(row[:deg + 1])), next(zeros))
+                  for row, deg in zip(gens[block].tolist(), degree[block].tolist())]
+    return codes
+
+
+def _zero_sets(part, masks) -> list:
+    """The zero set of each coset mask, a sorted tuple: the union of the
+    cosets whose bits are set, read off a membership matrix a block at a time."""
+    coset_of, out, step = _coset_of(part), [], max(1, _PASS // part.n)
+    for s in range(0, len(masks), step):
+        member = (masks[s:s + step, None] >> coset_of & 1).astype(bool)  # row j: the zeros of mask j
         ends = np.cumsum(member.sum(axis=1)).tolist()
         zeros = np.nonzero(member)[1].tolist()
-        for row, lo, hi, deg in zip(gens[block].tolist(), [0] + ends, ends,
-                                    degree[block].tolist()):
-            codes.append(CyclicCode(field, n, FPoly(field, tuple(row[:deg + 1])),
-                                    tuple(zeros[lo:hi])))
-    return codes, masks
+        out += [tuple(zeros[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    return out
 
 
 def _coset_of(part):
@@ -590,62 +599,54 @@ def _orbit_keys(part, masks):
 def mu(n: int, q, budget: int = DEFAULT_BUDGET, *, cache=None) -> MuRecord:
     """min(d + dim) over all nonzero cyclic codes of length n over F_q.
 
-    Divisors are processed smallest dimension first with a best-so-far bound
-    B; a code whose dim + bch bound already reaches B is recorded with its
-    bch bracket and skipped, which cannot change the minimum.  The bch bound
-    is computed once per multiplier orbit, on its first code.  A code
-    equivalent to one already computed (same multiplier orbit) reuses that
-    result, with work 0, when it is exact or its lower bound reaches the
-    current target.  Only a code that is neither pruned nor reused reaches
-    min_distance, and with it the cache.  The result equals the unpruned
-    computation; it degrades to a bracket only if some needed distance came
-    back inexact under the budget.
+    The walk runs on the lattice arrays, smallest dimension first, with a
+    best-so-far bound B; a code whose dim + bch bound already reaches B is
+    recorded with its bch bracket and skipped, which cannot change the
+    minimum.  The bch bound is computed once per multiplier orbit, and a code
+    equivalent to one already computed reuses that result with work 0, exact
+    or a bracket alike (the codes share d).  Only the one code per orbit that
+    is neither pruned nor reused is built and reaches min_distance, and with
+    it the cache.  The result equals the unpruned computation; it degrades to
+    a bracket only if some needed distance came back inexact under the budget.
     """
     field = PrimePower.of(q)
-    codes, masks = _lattice(n, field)
-    keys = _orbit_keys(cyclotomic_cosets(n, field.q), masks).tolist()
+    part = cyclotomic_cosets(n, field.q)
+    gens, degree, masks = _lattice(n, field)
+    keys, orbit = np.unique(_orbit_keys(part, masks), return_inverse=True)
+    bch = [bch_bound(zeros, n) for zeros in _zero_sets(part, keys)]
+    dims = n - degree[masks]
     # codes come by (degree, generator); a stable sort on dim keeps the generator order
-    order = np.argsort([code.dim for code in codes], kind="stable").tolist()
-    results = [None] * len(codes)
-    orbit_bch, orbit_results = {}, {}
-    pruned = {}  # one bch_only bracket per bound: most divisors of a large lattice take one
-    best = None  # (sum, code index) of the first exact minimiser
-    inexact = []
-    for i in order:
-        code, orbit = codes[i], keys[i]
-        b = orbit_bch.get(orbit)
-        if b is None:
-            b = orbit_bch[orbit] = code._bch
-        else:  # the orbit's bound, where code._bch would cache it
-            code.__dict__["_bch"] = b
-        if best is not None and code.dim + b >= best[0]:
-            if b not in pruned:
-                pruned[b] = DistanceResult(b, n, False, "bch_only", 0)
-            results[i] = pruned[b]
-            continue
-        # past the running minimum a certified bound is as good as exact
-        target = best[0] - code.dim if best is not None else None
-        prior = orbit_results.get(orbit)
-        if prior is not None and (prior.exact or (target is not None and prior.lower >= target)):
-            res = replace(prior, work=0)
-        else:
-            res = min_distance(code, budget, lower_target=target, cache=cache)
-            orbit_results[orbit] = res
-        results[i] = res
-        if res.exact:
-            s = code.dim + res.lower
-            if best is None or s < best[0]:
-                best = (s, i)
-        else:
-            inexact.append(code.dim + res.lower)
+    order = np.argsort(dims, kind="stable")
+    slots = np.empty(len(masks), np.int32)
+    # slot b <= n + 1 holds the bch_only bracket of bound b, shared by every code it prunes
+    results = [DistanceResult(b, n, False, "bch_only", 0) for b in range(n + 2)]
+    computed = {}  # orbit -> slot of the work-0 copy of its result
+    best, inexact = None, []  # best: (sum, code) of the first exact minimiser
+    for s in range(0, len(order), _PASS):  # Python ints a block at a time: 2^19 would take 40 MiB
+        block = order[s:s + _PASS]
+        for i, dim, o in zip(block.tolist(), dims[block].tolist(), orbit[block].tolist()):
+            b = bch[o]
+            if best is not None and dim + b >= best[0]:
+                slots[i] = b
+            elif o in computed:
+                slots[i] = computed[o]
+            else:
+                code = _codes(field, part, gens, degree, masks[i:i + 1])[0]
+                code.__dict__["_bch"] = b  # the orbit's bound, where code._bch would compute it
+                # past the running minimum a certified bound is as good as exact
+                target = best[0] - dim if best is not None else None
+                res = min_distance(code, budget, lower_target=target, cache=cache)
+                slots[i], computed[o] = len(results), len(results) + 1
+                results += [res, replace(res, work=0)]
+                if not res.exact:
+                    inexact.append(dim + res.lower)
+                elif best is None or dim + res.lower < best[0]:
+                    best = (dim + res.lower, code)
     if best is None:
         raise InternalError("no exact distance among divisors; budget too small to start")
-    mu_upper = best[0]
-    mu_lower = min([mu_upper] + inexact)
-    exact = mu_lower == mu_upper
-    witness = codes[best[1]]
-    return MuRecord(field.q, n, mu_lower, mu_upper, exact, witness,
-                    tuple(zip(codes, results)))
+    mu_lower = min([best[0]] + inexact)
+    return MuRecord(field.q, n, mu_lower, best[0], mu_lower == best[0], best[1],
+                    ((field, part, gens, degree, masks), slots, tuple(results)))
 
 
 @dataclass(frozen=True)

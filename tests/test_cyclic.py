@@ -232,7 +232,8 @@ def test_enumeration_matches_per_mask_products():
                     gen = gen * factors[i]
                     zeros.extend(part.cosets[i])
             expected.append((gen.degree, gen.coeffs, tuple(sorted(zeros)), mask))
-        codes, masks = _lattice(n, field)
+        gens, degree, masks = _lattice(n, field)
+        codes = cyclic._codes(field, part, gens, degree, masks)
         got = [(c.gen.degree, c.gen.coeffs, c.zeros, m) for c, m in zip(codes, masks.tolist())]
         assert got == sorted(expected), (n, q)
         assert [c.gen for c in enumerate_codes(n, q)] == [c.gen for c in codes]
@@ -244,6 +245,16 @@ def test_from_gen_refuses_the_zero_polynomial():
             CyclicCode.from_gen(7, 2, gen)
     with pytest.raises(DomainError, match="zero polynomial"):
         CyclicCode.from_gen(8, 3, FPoly.zero(PrimePower.from_int(3)))
+
+
+def test_from_gen_reads_zeros_off_masks_past_64_bits():
+    # 128 = 1 mod 127: x^127 - 1 splits into 127 linear factors over F_128,
+    # so a code's coset mask runs past a 64-bit integer
+    field = PrimePower.of(128)
+    factors = factor_xn_minus_1(127, field)
+    for chosen in ([0, 100], range(60, 70), [126]):
+        gen = functools.reduce(operator.mul, [factors[i] for i in chosen])
+        assert CyclicCode.from_gen(127, 128, gen).zeros == tuple(chosen)
 
 
 def test_construction_code_is_its_generator_code():
@@ -263,7 +274,8 @@ def test_enumeration_refuses_huge_lattices():
 
 def test_enumeration_cap_refuses_f9_length_40_at_once():
     # 24 cosets: 2^24 divisors would not fit in memory; mu(127, 2) peaks at
-    # 825 MiB over 2^19 of them, about 1.6 KiB each with its distance result
+    # 133 MiB over 2^19 of them, and at 845 MiB, about 1.6 KiB each, once
+    # its per-divisor records are read
     assert len(cyclotomic_cosets(40, 9).cosets) == 24
     with pytest.raises(DomainError, match=r"2\^24"):
         enumerate_codes(40, 9)
@@ -537,8 +549,9 @@ def _orbit_key_oracle(zeros, n, reps):
 
 def _keyed_codes(n, q):
     """enumerate_codes(n, q) and the mask orbit key of each code."""
-    codes, masks = _lattice(n, PrimePower.of(q))
-    return codes, _orbit_keys(cyclotomic_cosets(n, q), masks).tolist()
+    field, part = PrimePower.of(q), cyclotomic_cosets(n, q)
+    gens, degree, masks = _lattice(n, field)
+    return cyclic._codes(field, part, gens, degree, masks), _orbit_keys(part, masks).tolist()
 
 
 def _mask_of(zeros, part):
@@ -593,6 +606,22 @@ def test_hamming_code():
 def test_repetition_code():
     rep = [c for c in enumerate_codes(7, 2) if c.dim == 1][0]
     assert min_distance(rep).d == 7
+
+
+def test_mu_255_from_the_naive_up():
+    # mu refuses length 255 (35 cosets), but one code settles it.  g = (x^255 - 1)/(x^17 - 1)
+    # generates the 15-fold repetition of F_2^17, a [255, 17, 15] code; its zeros are the
+    # exponents that are not multiples of 15.  The naive UP d * dim >= n gives
+    # d + dim >= 2 sqrt(255), which this code meets: mu(255, 2) = 32
+    field = PrimePower.of(2)
+    code = CyclicCode.from_gen(255, 2, xn_minus_1(field, 255) // xn_minus_1(field, 17))
+    assert code.zeros == tuple(z for z in range(255) if z % 15)
+    res = min_distance(code)
+    assert (code.dim, res.d, res.d * code.dim) == (17, 15, 255)
+    assert res.d + code.dim == 32 == math.ceil(2 * math.sqrt(255))
+    assert len(cyclotomic_cosets(255, 2).cosets) == 35 > _ENUM_CAP_T
+    with pytest.raises(DomainError, match=r"2\^35"):
+        mu(255, 2)
 
 
 def test_qr17():
@@ -980,9 +1009,12 @@ def test_mu_103_exact_at_raised_budget():
     assert rec.witness.dim == 51
 
 
-@pytest.mark.parametrize("n", [23, 71])
-def test_mu_reuses_equivalent_codes(n):
-    rec = mu(n, 2)
+# at budget 40 the two [17, 9] quadratic-residue codes, one orbit, stop at a
+# budget bracket: the second reuses the first's with work 0
+@pytest.mark.parametrize("n,budget", [(23, DEFAULT_BUDGET), (71, DEFAULT_BUDGET), (17, 40)],
+                         ids=["23", "71", "17-40"])
+def test_mu_reuses_equivalent_codes(n, budget):
+    rec = mu(n, 2, budget)
     _, keys = _keyed_codes(n, 2)
     by_orbit = {}
     for (code, res), key in zip(rec.per_divisor, keys):
@@ -995,16 +1027,45 @@ def test_mu_reuses_equivalent_codes(n):
         assert len({(r.lower, r.upper, r.exact, r.method) for r in group}) == 1
 
 
+def _spy(monkeypatch, name):
+    """Record the first argument of each call to the cyclic module function name."""
+    seen, fn = [], getattr(cyclic, name)
+    monkeypatch.setattr(cyclic, name, lambda first, *a, **k: seen.append(first) or fn(first, *a, **k))
+    return seen
+
+
 @pytest.mark.parametrize("n,q", [(31, 2), (21, 4)])
 def test_mu_bounds_each_orbit_once(n, q, monkeypatch):
-    calls, bound = [], cyclic.bch_bound
-    monkeypatch.setattr(cyclic, "bch_bound", lambda zeros, n: calls.append(zeros) or bound(zeros, n))
+    calls, handed = _spy(monkeypatch, "bch_bound"), _spy(monkeypatch, "min_distance")
     rec = mu(n, q)
     _, keys = _keyed_codes(n, q)
-    assert len(calls) == len(set(keys)) < len(keys)
-    # the codes that took their orbit's bound hold their own
-    for code, _ in rec.per_divisor:
-        assert code._bch == bch_oracle(code.zeros, n), code
+    part = cyclotomic_cosets(n, q)
+    bound = {_orbit_keys(part, np.array([_mask_of(set(zeros), part)]))[0]: bch_oracle(zeros, n)
+             for zeros in calls}
+    assert len(bound) == len(calls) == len(set(keys)) < len(keys)
+    # every code's bound is its orbit's: pruned codes record it, and each code
+    # handed to min_distance holds it in its cache
+    for (code, res), key in zip(rec.per_divisor, keys):
+        assert bound[key] == bch_oracle(code.zeros, n), code
+        if res.method == "bch_only":
+            assert res.lower == bound[key], code
+    assert handed and all(code.__dict__["_bch"] == bch_oracle(code.zeros, n) for code in handed)
+    assert len(calls) == len(bound)  # the expansion computes no bound
+
+
+@pytest.mark.parametrize("n,q", [(63, 2), (45, 8)])
+def test_mu_builds_codes_only_for_distances(n, q, monkeypatch):
+    # mu walks the lattice as arrays: of its 8,191 and 16,383 divisors it
+    # builds the codes min_distance sees, the witness among them, and
+    # per_divisor expands the rest on first read
+    built, init = [], CyclicCode.__init__
+    monkeypatch.setattr(CyclicCode, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    handed = _spy(monkeypatch, "min_distance")
+    rec = mu(n, q)
+    assert len(built) <= len(handed) + 1 and rec.witness in handed
+    monkeypatch.undo()
+    assert len(rec.per_divisor) == 2 ** len(cyclotomic_cosets(n, q).cosets) - 1
+    assert [code for code, _ in rec.per_divisor] == enumerate_codes(n, q)
 
 
 def test_mu_deterministic():

@@ -9,6 +9,7 @@ file and says why in CHANGES.md:
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -96,6 +97,18 @@ def test_golden_covers_commands():
 def test_golden_cli(rec, monkeypatch):
     monkeypatch.delenv("UPLAB_CACHE_DIR", raising=False)
     assert run(rec["argv"]) == (rec["stdout"], rec["exit"])
+
+
+@pytest.mark.slow
+def test_mu_127_divisors_transcript(monkeypatch):
+    # a regression oracle for the lattice walk of mu and the expansion of its
+    # 524,287 per-divisor records, not a pin of mu(127, 2): the stdout hashes
+    # as it did when mu built a code for every divisor (about 30 s)
+    monkeypatch.delenv("UPLAB_CACHE_DIR", raising=False)
+    stdout, code = run(["mu", "--n", "127", "--q", "2", "--divisors"])
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == \
+        "230d41b32583c42d26daee26425b6b753b8dab3fada25fe70d38be40df9618a1"
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from uplab.cyclic import _lattice, _orbit_keys, bch_bound, ht_bound
+from uplab.cyclic import _codes, _lattice, _orbit_keys, bch_bound, ht_bound
 from uplab.gf import (FIELD_ORDER_CAP, DomainError, InternalError, PrimePower, nth_root_of_unity,
                       ord_mod, splitting_ctx)
 from uplab.polyring import (_FACTOR_CAP, _NUMPY_LEN, FPoly, _coset_values, _recurrence_values,
@@ -167,7 +167,8 @@ def test_default_labels_are_a_unit_multiple_of_the_canonical(case):
     assert math.gcd(u, n) == 1
     if len(part.cosets) > 6:
         return
-    codes, masks = _lattice(n, field)
+    gens, degree, masks = _lattice(n, field)
+    codes = _codes(field, part, gens, degree, masks)
     for code, mask in zip(codes, masks.tolist()):
         chosen = [(code.gen % f).is_zero() for f in reference]
         zeros = tuple(sorted(z for c, hit in zip(part.cosets, chosen) if hit for z in c))
