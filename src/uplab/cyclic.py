@@ -7,17 +7,18 @@ invariant
     mu(q, n) = min over nonzero codes of (minimum distance + dimension).
 
 Distances come from information-set deepening over messages of weight
-1, 2, ...; only a code over F_q, q > 2, whose q^dim messages fit one table
-of 2^16 (and the budget) runs an exhaustive kernel instead.  Both enumerate
-messages in the systematic basis on columns 0..k-1, read off the remainders
-x^(n-k+i) mod g with no elimination.  Two facts about cyclic codes keep the
-deepening cheap.  Every k cyclically consecutive coordinates form an
-information set, so one systematic basis certifies a bound over all n
-windows at once.  And a unit u mod n maps the code with zero set Z onto the
-code with zero set uZ (x -> x^u permutes coordinates), so mu takes one bch
-bound per multiplier orbit and shares one distance among its codes.  The
-orbits are found on coset masks: a unit permutes the q-cyclotomic cosets,
-and with them the bits of every code's mask.
+1, 2, ..., one suffix-table scan a weight for every q; only a code over F_q,
+q > 2, whose q^dim messages fit one table of 2^16 (and the budget) runs an
+exhaustive kernel instead.  Both enumerate messages in the systematic basis
+on columns 0..k-1, read off the remainders x^(n-k+i) mod g with no
+elimination.  Two facts about cyclic codes keep the deepening cheap.  Every
+k cyclically consecutive coordinates form an information set, so one
+systematic basis certifies a bound over all n windows at once.  And a unit
+u mod n maps the code with zero set Z onto the code with zero set uZ
+(x -> x^u permutes coordinates), so mu takes one bch bound per multiplier
+orbit and shares one distance among its codes.  The orbits are found on
+coset masks: a unit permutes the q-cyclotomic cosets, and with them the bits
+of every code's mask.
 """
 
 from __future__ import annotations
@@ -333,14 +334,15 @@ def _grid_bound(zeros, n: int, height: int) -> int:
 
 
 def _systematic_rows(code: CyclicCode):
-    """The basis in systematic form on columns 0..k-1, with no elimination.
+    """The basis in systematic form on columns 0..k-1, with no elimination,
+    in the word form of _scan_weight_w.
 
     With m = n - k = deg g and r_i = x^(m+i) mod g, row i is x^i - x^k r_i: g
     divides it, since x^k r_i = x^(n+i) = x^i mod g.  r_0 = x^m - g, and each
-    r_(i+1) is x r_i less its x^m coefficient times g.  Bitmask ints for q = 2,
-    a numpy matrix of scalar codes for q > 2: int64 while a sum of k
-    products of two codes fits it, else Python integers, so that every
-    _scalar_ops dot with these rows is exact."""
+    r_(i+1) is x r_i less its x^m coefficient times g.  For q = 2 each row is
+    packed into ceil(n/64) uint64 words; for q > 2 it is n scalar codes,
+    int64 while a sum of k products of two codes fits it, else Python
+    integers, so that every _scalar_ops dot with these rows is exact."""
     n, k = code.n, code.dim
     m = n - k
     if code.q == 2:
@@ -350,7 +352,7 @@ def _systematic_rows(code: CyclicCode):
                 r ^= g
             rows.append(1 << i | r << k)
             r <<= 1
-        return rows
+        return np.array([[r >> 64 * s & _WORD for s in range((n + 63) // 64)] for r in rows], np.uint64)
     add, neg, dot = _scalar_ops(code.field)
     dtype = np.int64 if k * (code.q - 1) ** 2 < _INT64 else object
     g, r = np.array(code.gen.coeffs, dtype), np.zeros(m + 1, dtype)
@@ -360,7 +362,7 @@ def _systematic_rows(code: CyclicCode):
         r = add(r, neg(dot(r[m:], g[None])))
         rows[i, i] = 1
         rows[i, k:] = neg(r[:m])
-        r = np.roll(r, 1)
+        r[1:], r[0] = r[:m], 0  # times x: r[m] is 0 after the reduction, so nothing wraps
     return rows
 
 
@@ -425,75 +427,76 @@ def _min_weight_qp(rows, field: PrimePower, stop_at):
 # information-set deepening (every code but the q-ary ones of one table)
 
 
-def _block_min_weight(tables, hi_cw):
-    """Min weight of hi_cw XOR each tabled codeword (one table per 64-bit word)."""
-    acc = None
-    for s, tab in enumerate(tables):
-        part = tab if hi_cw == 0 else tab ^ np.uint64((hi_cw >> (64 * s)) & _WORD)
-        cnt = np.bitwise_count(part)
-        if acc is None:  # one byte per count holds weights below 256, so up to 3 words
-            acc = cnt if len(tables) <= 3 else cnt.astype(np.uint16)
-        else:
-            acc += cnt
-    return int(acc.min())
-
-
-def _scan_weight_w_q2(rows, n, w):
-    """Min codeword weight over the messages of weight exactly w (binary rows).
-
-    The XORs of all m-subsets of rows are tabled once, in lexicographic
-    order, so those starting past a given row form a suffix; each outer
-    (w-m)-subset is XORed onto the suffix after its last row.  m = min(w, 3),
-    lowered while the table would exceed _BLOCK words.
-    """
-    k = len(rows)
-    nwords = (n + 63) // 64
-    m = min(w, 3)
-    while m > 1 and math.comb(k, m) * nwords > _BLOCK:
-        m -= 1
-    subsets = np.array(list(itertools.combinations(range(k), m)))
-    tables = [np.bitwise_xor.reduce(np.array([(r >> (64 * s)) & _WORD for r in rows],
-                                             np.uint64)[subsets], axis=1)
-              for s in range(nwords)]
-    suffix = np.searchsorted(subsets[:, 0], np.arange(k + 1))
-    best = n + 1
-    for outer in itertools.combinations(range(k - m), w - m):
-        lo = suffix[outer[-1] + 1] if outer else 0
-        hi_cw = 0
-        for i in outer:
-            hi_cw ^= rows[i]
-        best = min(best, _block_min_weight([t[lo:] for t in tables], hi_cw))
-    return best
-
-
-def _scan_weight_w_qp(rows, field: PrimePower, w):
-    """Same over F_q, q > 2: the first coefficient is fixed to 1, since a
-    scalar multiple of a codeword has its weight.  The last t coefficients
-    are tabled, t as large as keeps the table within _BLOCK entries; the
-    others are looped over, and a position vanishes where the tabled word
-    equals the negated looped part."""
-    k, n = rows.shape
-    q = field.q
+@lru_cache(maxsize=None)
+def _word_ops(field: PrimePower) -> tuple:
+    """(dtype, plus(a, b), combine(c, rows) = c @ rows, weights(t, h, acc)):
+    the field's part of the scan; weights counts in acc the weight of t + h
+    for each column of t, positions on axis 0.  Over F_2 a sum is an XOR,
+    every coefficient 1 and a weight a popcount; over F_q, q > 2, sums go via
+    _scalar_ops in a dtype that holds two codes' sum, and t + h is 0 where t = -h."""
+    if field.q == 2:
+        return (np.uint64, np.bitwise_xor, lambda c, rows: np.bitwise_xor.reduce(rows, axis=0),
+                lambda t, h, acc: np.bitwise_count(t ^ h[:, None]).sum(axis=0, dtype=acc))
     add, neg, dot = _scalar_ops(field)
-    t = w - 1
-    while t and (q - 1) ** t * n > _BLOCK:
-        t -= 1
-    tails = list(itertools.product(range(1, q), repeat=t))
-    tail = np.array(tails, np.int64).reshape(len(tails), t)
-    best = n + 1
-    for combo in itertools.combinations(range(k), w):
-        sub = rows[list(combo)]
-        tail_words = dot(tail, sub[w - t:])
-        for head in itertools.product(range(1, q), repeat=w - 1 - t):
-            lead = add(sub[0], dot(np.asarray(head, np.int64), sub[1:w - t]))
-            best = min(best, n - int((tail_words == neg(lead)).sum(axis=1).max()))
+    wide = np.min_scalar_type(2 * (field.q - 1))
+    return wide, add, dot, lambda t, h, acc: (t != neg(h).astype(wide)[:, None]).sum(axis=0, dtype=acc)
+
+
+@lru_cache(maxsize=None)
+def _subsets(k: int, m: int) -> tuple:
+    """The m-subsets of range(k) in lexicographic order, one a row, and for
+    i = 0..k the row where those whose least element is at least i start."""
+    subsets = np.array(list(itertools.combinations(range(k), m)), np.min_scalar_type(k)).reshape(-1, m)
+    return subsets, tuple(math.comb(k, m) - math.comb(k - i, m) for i in range(k + 1))
+
+
+def _sums(words, field: PrimePower, subsets, leads):
+    """(table, span): column s * span + v of table is the sum of subset s's
+    words times coefficient vector v, lead in leads and the others 1..q-1,
+    lead outermost; positions run down axis 0."""
+    dtype, plus, combine, _ = _word_ops(field)
+    width, table = words.shape[1], None
+    for j in range(subsets.shape[1]):
+        c, rows = np.arange(1, field.q) if j else leads, words[subsets[:, j]]
+        part = combine(c[:, None], rows.reshape(1, -1)).astype(dtype).reshape(len(c), -1, width).swapaxes(0, 1)
+        table = part if table is None else plus(table[:, :, None], part[:, None]).reshape(len(rows), -1, width)
+    return np.ascontiguousarray(table.reshape(-1, width).T), table.shape[1]
+
+
+def _scan_weight_w(words, field: PrimePower, n: int, w: int) -> int:
+    """Min weight over the messages of weight exactly w, lead coefficient 1
+    (one per scalar class), of rows in _systematic_rows form.
+
+    The _sums of every m-subset of rows are tabled in lexicographic order, so
+    the subsets past row i form a suffix, and each outer (w-m)-subset, lead
+    coefficient 1, is added onto the suffix past its last row; at w = m there
+    is no outer row, and only lead 1 is tabled.  m = min(w, 3), lowered while
+    the table would pass _BLOCK entries; where even the q - 1 multiples of
+    the rows would, the lead coefficients are tabled a slice at a time."""
+    (k, width), q = words.shape, field.q
+    _, _, combine, weights = _word_ops(field)
+    m = min(w, 3)
+    leads = 1 if m == w else q - 1
+    while m > 1 and math.comb(k, m) * leads * (q - 1) ** (m - 1) * width > _BLOCK:
+        m, leads = m - 1, q - 1
+    subsets, suffix = _subsets(k, m)
+    step = max(1, _BLOCK // (len(subsets) * (q - 1) ** (m - 1) * width))
+    acc, best = np.min_scalar_type(n), n + 1
+    heads = [range(1, q if i else 2) for i in range(w - m)]  # the outer coefficients, lead 1
+    for lo in range(1, leads + 1, step):
+        table, span = _sums(words, field, subsets, np.arange(lo, min(lo + step, leads + 1)))
+        for outer in itertools.combinations(range(k - m), w - m):
+            tail, rows = table[:, suffix[max(outer, default=-1) + 1] * span:], words[list(outer)]
+            for head in itertools.product(*heads):
+                best = min(best, int(weights(tail, combine(np.array(head, np.int64), rows), acc).min()))
     return best
 
 
 def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
                  target: int | None = None) -> DistanceResult:
     """Deepen over the messages of weight w = 1, 2, ... in the systematic
-    basis on columns 0..k-1, counting one message per scalar class.
+    basis on columns 0..k-1, counting one message per scalar class: every
+    round, w = 1 too, is one _scan_weight_w on rows built once per code.
 
     Every k cyclically consecutive columns of a cyclic code form an
     information set, and the code is closed under shifts.  Once all messages
@@ -507,8 +510,8 @@ def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
     A target stops the deepening once the certified lower bound reaches it
     (the caller has established the code cannot matter past that point)."""
     n, k, q = code.n, code.dim, code.q
-    rows = _systematic_rows(code)
-    upper = min(r.bit_count() for r in rows) if q == 2 else int(np.count_nonzero(rows, axis=1).min())
+    words = _systematic_rows(code)
+    upper = _scan_weight_w(words, code.field, n, 1)
     work = k
     w = 1  # every message of weight <= w has been seen
     while True:
@@ -523,10 +526,7 @@ def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
         round_cost = math.comb(k, w) * (q - 1) ** (w - 1)
         if work + round_cost > budget:
             return DistanceResult(lower, upper, False, "bz", work)
-        if q == 2:
-            upper = min(upper, _scan_weight_w_q2(rows, n, w))
-        else:
-            upper = min(upper, _scan_weight_w_qp(rows, code.field, w))
+        upper = min(upper, _scan_weight_w(words, code.field, n, w))
         work += round_cost
 
 
@@ -539,11 +539,11 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     """Exact minimum distance, or a certified bracket under the budget.
 
     A code over F_q, q > 2, with q^dim within min(budget, _TABLE) runs the
-    exhaustive kernel.  Every other code goes to the deepening tier, which
-    returns exact if its bracket closes and a bracket otherwise; its rounds
-    sum to (q^dim - 1)/(q - 1) messages, one per scalar class, so a code
-    with q^dim within the budget is exact unless lower_target stops it
-    early.  lower_target lets a caller accept any certified bound reaching it.
+    exhaustive kernel; every other code the deepening tier, one weight-w
+    scan a round for every q, exact if its bracket closes, else a bracket.
+    Its rounds sum to (q^dim - 1)/(q - 1) messages, one per scalar class, so
+    a code with q^dim within the budget is exact unless lower_target, any
+    certified bound the caller accepts, stops it early.
 
     The budget bounds the enumeration only: the deepening tier charges its k
     basis rows as work before it checks the budget, so a small budget can

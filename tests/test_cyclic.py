@@ -3,6 +3,8 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +15,10 @@ from uplab.cli import Cache
 from uplab.asymptotics import construction_demo
 from uplab.gf import DomainError, InternalError, PrimePower, from_digits, to_digits
 from uplab.polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
-from uplab.cyclic import (DEFAULT_BUDGET, _ENUM_CAP_T, _PASS, _TABLE, CyclicCode, DistanceResult,
-                          _bz_distance, _lattice, _min_weight_qp, _multiplier_reps, _orbit_keys,
-                          _scan_weight_w_q2, _strides, _systematic_rows, bch_bound,
-                          enumerate_codes, ht_bound, min_distance, mu, strong_up_witness)
+from uplab.cyclic import (DEFAULT_BUDGET, _ENUM_CAP_T, _PASS, _TABLE, _WORD, CyclicCode,
+                          DistanceResult, _bz_distance, _lattice, _min_weight_qp, _multiplier_reps,
+                          _orbit_keys, _scalar_ops, _scan_weight_w, _strides, _systematic_rows,
+                          bch_bound, enumerate_codes, ht_bound, min_distance, mu, strong_up_witness)
 
 # deterministic property tests that leave no example database behind
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -469,8 +471,9 @@ def test_systematic_rows_are_the_systematic_basis(case, pick):
     code = codes[pick % len(codes)]
     k = code.dim
     rows = _systematic_rows(code)
-    if q == 2:
-        rows = [list(to_digits(r, 2, n)) for r in rows]
+    if q == 2:  # packed into 64-bit words, lowest first
+        assert rows.shape == (k, (n + 63) // 64) and rows.dtype == np.uint64
+        rows = [list(to_digits(sum(x << 64 * s for s, x in enumerate(r)), 2, n)) for r in rows.tolist()]
     else:
         assert rows.shape == (k, n)
         rows = [[int(c) for c in r] for r in rows]
@@ -662,7 +665,7 @@ def test_bz_bracket_and_convergence():
     # equivalent code uZ, whose systematic basis differs
     twin = next(c for c in codes if c.dim == 29 and c.zeros != c29.zeros)
     assert keys[codes.index(twin)] == keys[codes.index(c29)]
-    assert _systematic_rows(twin) != _systematic_rows(c29)
+    assert not np.array_equal(_systematic_rows(twin), _systematic_rows(c29))
     again = min_distance(twin)
     assert again.exact and again.d == r.d
 
@@ -763,9 +766,37 @@ def test_distance_invariant_under_multipliers(case, pick, unit):
     assert min_distance(twin).d == min_distance(code).d
 
 
+def _packed(rows, n):
+    """Bitmask rows in the scan's F_2 word form: ceil(n/64) uint64 words each."""
+    return np.array([[r >> 64 * s & _WORD for s in range((n + 63) // 64)] for r in rows], np.uint64)
+
+
+def scan_weight_w_oracle(rows, field, w):
+    """Min weight over the messages of weight exactly w, lead coefficient 1,
+    of scalar-code rows: every w-subset in turn, its last t coefficients
+    tabled and the others looped over, where a position vanishes if the
+    tabled word equals the negated looped part."""
+    k, n = rows.shape
+    q = field.q
+    add, neg, dot = _scalar_ops(field)
+    t = w - 1
+    while t and (q - 1) ** t * n > 1 << 20:
+        t -= 1
+    tails = list(itertools.product(range(1, q), repeat=t))
+    tail = np.array(tails, np.int64).reshape(len(tails), t)
+    best = n + 1
+    for combo in itertools.combinations(range(k), w):
+        sub = rows[list(combo)]
+        tail_words = dot(tail, sub[w - t:])
+        for head in itertools.product(range(1, q), repeat=w - 1 - t):
+            lead = add(sub[0], dot(np.asarray(head, np.int64), sub[1:w - t]))
+            best = min(best, n - int((tail_words == neg(lead)).sum(axis=1).max()))
+    return best
+
+
 @PROPERTY
 @given(st.integers(1, 9), st.sampled_from([5, 64, 65, 130]), st.integers(0, 2**64))
-def test_scan_weight_w_q2_is_the_least_weight_w_combination(k, n, seed):
+def test_scan_weight_w_is_the_least_weight_w_combination(k, n, seed):
     # any rows, not only a cyclic basis, so no weight-w message can hide
     # behind a shift of another codeword
     rng = random.Random(seed)
@@ -773,22 +804,53 @@ def test_scan_weight_w_q2_is_the_least_weight_w_combination(k, n, seed):
     for w in range(1, k + 1):
         expected = min(functools.reduce(operator.xor, c).bit_count()
                        for c in itertools.combinations(rows, w))
-        assert _scan_weight_w_q2(rows, n, w) == expected, (w, rows)
+        assert _scan_weight_w(_packed(rows, n), PrimePower.of(2), n, w) == expected, (w, rows)
 
 
-def test_block_min_weight_past_one_byte():
+@PROPERTY
+@given(st.sampled_from([2, 3, 4, 5, 8, 9]), st.integers(1, 6), st.integers(1, 40),
+       st.sampled_from([cyclic._BLOCK, 64]), st.integers(0, 2**64))
+def test_scan_weight_w_matches_the_subset_loop(q, k, n, block, seed):
+    # every round of random scalar-code rows against the loop over w-subsets;
+    # a block of 64 entries lowers m and tables the lead coefficients in slices
+    field, rng = PrimePower.of(q), random.Random(seed)
+    rows = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(k)], np.int64)
+    words = _packed([from_digits(r, 2) for r in rows.tolist()], n) if q == 2 else rows
+    with mock.patch.object(cyclic, "_BLOCK", block):
+        for w in range(1, k + 1):
+            assert _scan_weight_w(words, field, n, w) == scan_weight_w_oracle(rows, field, w), (w, rows)
+
+
+def test_scan_weight_w_past_one_byte():
     # rows of 604 bits (ten 64-bit words) over disjoint blocks of 150 ones, so
     # every weight-w message weighs 151 w > 255: the per-word counts must
     # accumulate in uint16, not wrap at 256
     k, block = 4, 150
     n = k * (block + 1)
     rows = [1 << i | ((1 << block) - 1) << (k + i * block) for i in range(k)]
-    for w in range(2, k + 1):  # w = 4 XORs one outer row onto the table
+    for w in range(2, k + 1):  # w = 4 adds one outer row onto the table
         expected = min(functools.reduce(operator.xor, c).bit_count()
                        for c in itertools.combinations(rows, w))
-        assert _scan_weight_w_q2(rows, n, w) == expected == (block + 1) * w
+        assert _scan_weight_w(_packed(rows, n), PrimePower.of(2), n, w) == expected == (block + 1) * w
     rep = CyclicCode.from_gen(257, 2, "1" * 257)
     assert rep.dim == 1 and min_distance(rep).d == 257
+
+
+def test_large_prime_field_rounds_stay_within_the_block():
+    # the 5 x 262,146 multiples of the rows, 10 positions each, pass _BLOCK,
+    # so the w = 2 round tables its lead coefficients a slice at a time: the
+    # traced peak stays below the 50 MiB the whole table would take in uint32
+    code = CyclicCode.from_gen(10, 262147, FPoly(PrimePower.of(262147), (1, 2, 2, 2, 2, 1)))
+    assert code.dim == 5
+    tracemalloc.start()
+    try:
+        r = min_distance(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.exact, r.d, r.method, r.work) == (True, 4, "bz", 2_621_465)
+    assert r.d == rank_distance_oracle(code)
+    assert peak < 32 << 20, peak
 
 
 def test_budget_never_aborts():
