@@ -18,15 +18,18 @@ u mod n maps the code with zero set Z onto the code with zero set uZ
 (x -> x^u permutes coordinates), so mu takes one bch bound per multiplier
 orbit and shares one distance among its codes.  The orbits are found on
 coset masks: a unit permutes the q-cyclotomic cosets, and with them the bits
-of every code's mask.
+of every code's mask.  Over F_2 a third fact lifts the deepening's lower
+bound: by McEliece's theorem every weight is 0 or r mod a power of 2 read
+off the zero set, so a bound rounds up to the next such weight.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as datafield, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -492,6 +495,30 @@ def _scan_weight_w(words, field: PrimePower, n: int, w: int) -> int:
     return best
 
 
+def _weight_congruence(code: CyclicCode) -> tuple:
+    """(M, r): every weight of a binary cyclic code is 0 or r mod M.
+
+    McEliece's theorem (R. J. McEliece, "Weight congruences for p-ary cyclic
+    codes", Discrete Math. 3, 1972): the even-like subcode E, with zeros
+    Z | {0}, has every weight divisible by M = 2^(l-1), where l is the least
+    number of nonzeros of E, repeats allowed, that sum to 0 mod n.  l comes
+    from a breadth-first search on n-bit masks: the sums of j + 1 nonzeros
+    are the sums of j, each shifted by every nonzero.  A code with 0 in Z is
+    E, and r = 0; any other is E + <all-ones>, whose other weights are
+    n - w(E), and r = n mod M.  A unit relabelling uZ keeps l, so the zeros
+    of any root serve.  With no nonzero (E = 0), M = 1."""
+    n, zeros = code.n, set(code.zeros)
+    nonzeros = [a for a in range(1, n) if a not in zeros]
+    if not nonzeros:
+        return 1, 0
+    full, reach, ell = (1 << n) - 1, sum(1 << a for a in nonzeros), 1
+    while not reach & 1:  # bit x of reach: some ell nonzeros sum to x
+        reach = reduce(operator.or_, (reach << a | reach >> n - a for a in nonzeros)) & full
+        ell += 1
+    modulus = 1 << ell - 1
+    return modulus, 0 if 0 in zeros else n % modulus
+
+
 def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
                  target: int | None = None) -> DistanceResult:
     """Deepen over the messages of weight w = 1, 2, ... in the systematic
@@ -507,6 +534,11 @@ def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
     reaches the lightest codeword seen; a codeword lighter than bch is an
     error.  Run to w = k, the rounds cover all q^k - 1 messages up to scalars.
 
+    Over F_2 every weight is 0 or r mod M (_weight_congruence), so while the
+    bracket stays open after a round the lower bound rounds up to the next
+    such weight; the congruence is computed once, at the first such round,
+    and a lightest codeword that breaks it is an error too.
+
     A target stops the deepening once the certified lower bound reaches it
     (the caller has established the code cannot matter past that point)."""
     n, k, q = code.n, code.dim, code.q
@@ -514,10 +546,16 @@ def _bz_distance(code: CyclicCode, bch_lower: int, budget: int,
     upper = _scan_weight_w(words, code.field, n, 1)
     work = k
     w = 1  # every message of weight <= w has been seen
+    congruence = None
     while True:
         if upper < bch_lower:
             raise InternalError(f"designed-distance bound {bch_lower} exceeds true distance {upper}")
         lower = max(bch_lower, -(-n * (w + 1) // k))
+        if q == 2 and lower < upper and w < k:
+            modulus, r = congruence = congruence or _weight_congruence(code)
+            if upper % modulus not in (0, r):
+                raise InternalError(f"a codeword of weight {upper} breaks the weight congruence mod {modulus}")
+            lower = min(lower + -lower % modulus, lower + (r - lower) % modulus)
         if lower >= upper or w >= k:
             return DistanceResult(upper, upper, True, "bz", work)
         if target is not None and lower >= target:
@@ -541,6 +579,8 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     A code over F_q, q > 2, with q^dim within min(budget, _TABLE) runs the
     exhaustive kernel; every other code the deepening tier, one weight-w
     scan a round for every q, exact if its bracket closes, else a bracket.
+    Over F_2 the tier's lower bound is rounded up by the weight congruence
+    of the code, so a bracket may close, or narrow, a round early.
     Its rounds sum to (q^dim - 1)/(q - 1) messages, one per scalar class, so
     a code with q^dim within the budget is exact unless lower_target, any
     certified bound the caller accepts, stops it early.

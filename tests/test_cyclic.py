@@ -18,6 +18,7 @@ from uplab.polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus
 from uplab.cyclic import (DEFAULT_BUDGET, _ENUM_CAP_T, _PASS, _TABLE, _WORD, CyclicCode,
                           DistanceResult, _bz_distance, _lattice, _min_weight_qp, _multiplier_reps,
                           _orbit_keys, _scalar_ops, _scan_weight_w, _strides, _systematic_rows,
+                          _weight_congruence,
                           bch_bound, enumerate_codes, ht_bound, min_distance, mu, strong_up_witness)
 
 # deterministic property tests that leave no example database behind
@@ -92,14 +93,19 @@ def distance_oracle(code):
     return best
 
 
-def binary_distance_oracle(code):
-    """Tabulate all 2^k codewords of a binary code by doubling over the
-    shifted-generator rows x^i g, then take the least nonzero popcount."""
+def binary_weights_oracle(code):
+    """The sorted nonzero weights of a binary code of length <= 64: tabulate
+    all 2^k codewords by doubling over the shifted-generator rows x^i g."""
     g = from_digits(code.gen.coeffs, 2)
     table = np.zeros(1, np.uint64)
     for i in range(code.dim):
         table = np.concatenate([table, table ^ np.uint64(g << i)])
-    return int(np.bitwise_count(table[1:]).min())
+    return np.unique(np.bitwise_count(table[1:])).tolist()
+
+
+def binary_distance_oracle(code):
+    """The least nonzero popcount over all 2^k codewords."""
+    return binary_weights_oracle(code)[0]
 
 
 def parity_check_oracle(code):
@@ -884,6 +890,70 @@ def test_bz_refuses_a_codeword_below_the_bch_bound():
         _bz_distance(code, 5, DEFAULT_BUDGET)
 
 
+def _check_weight_congruence(code):
+    # every weight is 0 or r mod M; for an even-like code (0 a zero) the
+    # power of 2 in the gcd of its weights is M = 2^(l-1) exactly, which
+    # checks l itself and not only the bound; and the deepening, which
+    # rounds its lower bound by the congruence, still finds the lightest word
+    weights = binary_weights_oracle(code)
+    modulus, r = _weight_congruence(code)
+    assert all(w % modulus in (0, r) for w in weights), (code, modulus, r, weights)
+    if 0 in code.zeros:
+        g = math.gcd(*weights)
+        assert (r, g & -g) == (0, modulus), (code, modulus, weights)
+    assert min_distance(code).d == weights[0], code
+
+
+def test_weight_congruence_against_every_weight():
+    # every binary cyclic code of odd n <= 31 and dim <= 16: 218 from n = 3
+    # on, and the [1, 1] code
+    codes = [c for n in range(1, 32, 2) for c in _codes(n, 2) if c.dim <= 16]
+    assert len(codes) == 219
+    for code in codes:
+        _check_weight_congruence(code)
+
+
+@st.composite
+def _binary_codes(draw, max_n=45, max_dim=14):
+    """A binary cyclic code of odd length whose nonzeros, a random union of
+    cosets, number at most max_dim; its generator is the product of the
+    other factors."""
+    n = draw(st.sampled_from(range(1, max_n + 1, 2)))
+    cosets = cyclotomic_cosets(n, 2).cosets
+    order = draw(st.permutations(range(len(cosets))))
+    nonzero, dim = set(), 0
+    for i in order[:draw(st.integers(1, len(order)))]:
+        if dim + len(cosets[i]) <= max_dim:
+            nonzero.add(i)
+            dim += len(cosets[i])
+    assume(dim)
+    field = PrimePower.of(2)
+    gen = functools.reduce(operator.mul, (f for i, f in enumerate(factor_xn_minus_1(n, field))
+                                          if i not in nonzero), FPoly(field, (1,)))
+    return CyclicCode.from_gen(n, 2, gen)
+
+
+@PROPERTY
+@given(_binary_codes())
+def test_weight_congruence_property(code):
+    _check_weight_congruence(code)
+
+
+def test_weight_congruence_is_computed_lazily_and_guards_the_upper_bound():
+    hamming, qr = CyclicCode.from_gen(7, 2, "1101"), CyclicCode.from_gen(17, 2, "111010111")
+    with mock.patch.object(cyclic, "_weight_congruence", wraps=_weight_congruence) as spy:
+        assert _bz_distance(hamming, 3, DEFAULT_BUDGET).d == 3  # closed at w = 1: never asked
+        assert spy.call_count == 0
+        assert _bz_distance(qr, qr._bch, DEFAULT_BUDGET).d == 5  # open after w = 1: asked once
+        assert spy.call_count == 1
+    # the [17, 9] quadratic-residue code has odd weights 5, 9, ...: a claimed
+    # modulus of 4 with residue 0 is a fault the first open round reports
+    assert _weight_congruence(qr) == (2, 1)
+    with mock.patch.object(cyclic, "_weight_congruence", return_value=(4, 0)):
+        with pytest.raises(InternalError, match="weight 5 breaks the weight congruence mod 4"):
+            _bz_distance(qr, qr._bch, DEFAULT_BUDGET)
+
+
 @pytest.mark.parametrize("n,q,gen,dim,bch,d,work", [
     (16, 3, "1000101", 10, 3, 3, 2),                  # the second row of the first slab
     (16, 3, "10021121", 9, 4, 5, 3**9 - 1),           # d > bch: every message
@@ -1039,10 +1109,11 @@ def test_mu_records_do_not_depend_on_cache_history(earlier, case):
 
 
 def test_mu_31_with_exact_results_cached_where_it_brackets():
-    # a fresh run stops nine dim-11 divisors at a target bracket; a cache
-    # primed with every exact distance answers them instead.  mu, its bracket
-    # and the witness stay; each differing record was a bracket that cannot
-    # lower mu and is now exact with work 0
+    # a fresh run stops three dim-11 divisors, one orbit, at a target bracket
+    # [9, 10]; a cache primed with every exact distance answers them instead.
+    # mu, its bracket and the witness stay; each differing record was a
+    # bracket that cannot lower mu and is now exact with work 0.  (Six more
+    # dim-11 divisors close at the target since their weights are 0 mod 4.)
     fresh = mu(31, 2)
     cache = Cache(None)  # in memory only
     for code in enumerate_codes(31, 2):
@@ -1052,21 +1123,34 @@ def test_mu_31_with_exact_results_cached_where_it_brackets():
     # compare results, not work: a cache hit sets work to 0 on any record
     differ = [(code, a, b) for (code, a), (_, b) in zip(fresh.per_divisor, cached.per_divisor)
               if (a.lower, a.upper, a.exact) != (b.lower, b.upper, b.exact)]
-    assert len(differ) == 9 and {code.dim for code, _, _ in differ} == {11}
+    assert len(differ) == 3 and {code.dim for code, _, _ in differ} == {11}
     for code, a, b in differ:
         assert (a.method, a.exact) == ("bz", False) and code.dim + a.lower >= fresh.mu
         assert b.exact and b.work == 0 and a.lower <= b.d <= a.upper
         assert b.d == binary_distance_oracle(code)
 
 
+def test_mu_103_brackets_at_the_default_budget():
+    # 5-8 s.  The weight congruences close the [103, 51, 20] even-weight
+    # subcode of the quadratic-residue code (weights 0 mod 4) at the default
+    # budget; the [103, 52, 19] code itself (weights 0 or 3 mod 4) stops at a
+    # budget bracket whose lower bound gives 68
+    rec = mu(103, 2)
+    assert (rec.mu_lower, rec.mu_upper, rec.exact) == (68, 71, False)
+    assert rec.witness.dim == 51
+
+
 @pytest.mark.slow
-def test_mu_103_exact_at_raised_budget():
-    # Pins that need more than the default budget live here.  This one runs
-    # about 7 minutes on one core, as `uplab mu --n 103 --q 2 --budget 8589934592`.
-    # The [103, 52, 19] quadratic-residue code (MacWilliams-Sloane, ch. 16) and
-    # its [103, 51, 20] even-weight subcode both give 71; the subcode comes
-    # first in (dim, generator) order.
-    rec = mu(103, 2, budget=1 << 33)
+@pytest.mark.parametrize("budget", [1 << 30, 1 << 33])
+def test_mu_103_exact_at_raised_budget(budget):
+    # Pins that need more than the default budget live here.  At 2^30 the
+    # [103, 52] code closes after its w = 8 round, since its lower bound 18
+    # rounds up to 19 (weights 0 or 3 mod 4); about 28 s on one core, as
+    # `uplab mu --n 103 --q 2 --budget 1073741824`.  2^33 stops at the same
+    # round.  The [103, 52, 19] quadratic-residue code (MacWilliams-Sloane,
+    # ch. 16) and its [103, 51, 20] even-weight subcode both give 71; the
+    # subcode comes first in (dim, generator) order.
+    rec = mu(103, 2, budget=budget)
     assert rec.exact and rec.mu == 71
     assert rec.witness.dim == 51
 

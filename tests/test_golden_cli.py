@@ -38,6 +38,8 @@ COMMANDS = [
     ["mindist", "--n", "13", "--q", "3", "--gen", "2111"],
     ["mindist", "--n", "26", "--q", "3", "--gen", "10022211"],
     ["mindist", "--n", "23", "--q", "2", "--gen", "110001110101", "--budget", "100"],
+    # a budget bracket (exit 3) whose lower bound the weight congruences raise
+    ["mindist", "--n", "47", "--q", "2", "--gen", "100011000111011011101111", "--budget", "100"],
     ["ms", "--q", "2", "--n", "7", "--word", "1111111"],
     ["ms", "--q", "2", "--word", "110100000000000"],
     ["ms", "--q", "3", "--word", "12010000"],
@@ -103,12 +105,13 @@ def test_golden_cli(rec, monkeypatch):
 def test_mu_127_divisors_transcript(monkeypatch):
     # a regression oracle for the lattice walk of mu and the expansion of its
     # 524,287 per-divisor records, not a pin of mu(127, 2): the stdout hashes
-    # as it did when mu built a code for every divisor (about 30 s)
+    # as it did when mu built a code for every divisor, with the work and the
+    # target brackets that the weight congruences give (about 30 s)
     monkeypatch.delenv("UPLAB_CACHE_DIR", raising=False)
     stdout, code = run(["mu", "--n", "127", "--q", "2", "--divisors"])
     assert code == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == \
-        "230d41b32583c42d26daee26425b6b753b8dab3fada25fe70d38be40df9618a1"
+        "875ebdfe35684ac9a60ae3c48b8456a61366241a218dbdd1150da5da492b71c4"
 
 
 if __name__ == "__main__":
