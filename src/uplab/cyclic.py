@@ -211,11 +211,12 @@ def _lattice(n: int, field: PrimePower) -> tuple:
 
 def _codes(field: PrimePower, part, gens, degree, masks) -> list:
     """The CyclicCode of each mask of a _lattice; rows become tuples a block
-    at a time, never the whole matrix."""
+    at a time, never the whole matrix.  The rows are products of monic
+    factors, codes of the field with a lead of 1, so they skip validation."""
     codes, zeros, step = [], iter(_zero_sets(part, masks)), max(1, _PASS // (part.n + 1))
     for s in range(0, len(masks), step):
         block = masks[s:s + step]
-        codes += [CyclicCode(field, part.n, FPoly(field, tuple(row[:deg + 1])), next(zeros))
+        codes += [CyclicCode(field, part.n, FPoly._trusted(field, row[:deg + 1]), next(zeros))
                   for row, deg in zip(gens[block].tolist(), degree[block].tolist())]
     return codes
 

@@ -344,12 +344,10 @@ class FieldCtx:
         self._embed_map = None
         self._unembed_map = None
 
-        prim = self._find_primitive()
-        self.primitive_elt = prim
+        # _find_primitive certifies the full order: a^(N/l) != 1 for each prime l | N
+        self.primitive_elt = self._find_primitive()
         if base.e >= 2:
             self._build_embedding()
-        if mult_order(prim) != self.group_order:
-            raise InternalError("primitive element lost its order")
 
     # -- representation helpers --
 

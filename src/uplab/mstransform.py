@@ -13,11 +13,13 @@ code that f generates.
 
 ms_forward and ms_inverse build the vector itself with F_p matrices.  With
 d the degree of the splitting field over F_p, y -> y * zeta is F_p-linear on
-the d base-p digits of y, so each call stacks the d x d matrices of zeta^0,
-..., zeta^n, and value i is the sum over j of digits(f_j) times the matrix
-of zeta^(i*j mod n), one numpy product per point.  The inverse reads the
-powers of zeta^-1 off the same stack.  The stack also checks zeta: its first
-identity matrix past zeta^0 must be that of zeta^n.
+the d base-p digits of y, so the d x d matrices of zeta^0, ..., zeta^n sit
+side by side in one stack, built once per (context, zeta, n) and kept for
+the next call.  One numpy product takes the digits of every f_j times every
+matrix, and value i is the sum over j of the product with the matrix of
+zeta^(i*j mod n).  The inverse reads the powers of zeta^-1 off the same
+stack.  The stack also checks zeta: its first identity matrix past zeta^0
+must be that of zeta^n.
 
 The exhaustive scan reads deg g off remainders instead: deg g is the sum of
 |C| over the cyclotomic cosets C whose factor m_C divides f, and f mod m_C is
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .polyring import (_ALPHABET, FPoly, factor_xn_minus_1, poly_gcd, word_to_po
                        xn_minus_1)
 _EXHAUSTIVE_CAP = 1 << 24
 _SCAN_BLOCK = 1 << 10  # words per block; 2^12 left ~0.1 MiB more peak RSS
+_STACK_PASS = 1 << 18  # int64 entries per product of coefficient digits and the power stack
 
 
 @dataclass(frozen=True)
@@ -84,40 +88,54 @@ def _check_length(n: int, field: PrimePower):
         raise DomainError(f"gcd(n={n}, q={field.q}) != 1")
 
 
-def _power_maps(ctx: FieldCtx, zeta: FFElem, n: int) -> np.ndarray:
-    """The F_p matrices of y -> y * zeta^k for k = 0..n, stacked.
+@lru_cache(maxsize=2)  # a round trip reads one stack twice
+def _power_stack(ctx: FieldCtx, zeta_digits: tuple, n: int) -> np.ndarray:
+    """The F_p matrices of y -> y * zeta^k for k = 0..n side by side, a
+    read-only d x (n+1)*d array: columns k*d..(k+1)*d - 1 hold the matrix of
+    zeta^k.
 
-    Row r of each holds the digits of x^r * zeta^k, so a row of digits times
-    the matrix is the digits of the product.  zeta must be a primitive n-th
-    root of unity: the first k >= 1 whose matrix is the identity is its order.
+    Row r of each matrix holds the digits of x^r * zeta^k, so a row of digits
+    times the matrix is the digits of the product.  zeta must be a primitive
+    n-th root of unity: the first k >= 1 whose matrix is the identity is its
+    order.  The refusal raises, so it is never cached.
     """
     p, d = ctx.char, ctx.deg
+    zeta = FFElem(zeta_digits, ctx)
     step = np.array([ctx.mul(ctx.from_code(p**r), zeta).digits for r in range(d)], np.int64)
-    stack = np.empty((n + 1, d, d), np.int64)
-    stack[0] = np.eye(d, dtype=np.int64)
+    maps = np.empty((n + 1, d, d), np.int64)
+    maps[0] = np.eye(d, dtype=np.int64)
     for k in range(n):
-        stack[k + 1] = stack[k] @ step % p
-    ones = (stack[1:] == stack[0]).all(axis=(1, 2))
+        maps[k + 1] = maps[k] @ step % p
+    ones = (maps[1:] == maps[0]).all(axis=(1, 2))
     if not ones[n - 1] or ones[:n - 1].any():
         raise DomainError(f"zeta is not a primitive {n}-th root of unity")
+    stack = maps.transpose(1, 0, 2).reshape(d, (n + 1) * d)
+    stack.flags.writeable = False
     return stack
 
 
-def _at_powers(ctx: FieldCtx, coeffs, maps: np.ndarray, sign: int) -> np.ndarray:
+def _at_powers(ctx: FieldCtx, coeffs, zeta: FFElem, sign: int) -> np.ndarray:
     """Digit rows of the polynomial with these coefficients (lowest degree
-    first) at zeta^(sign*i), i = 1..n, where maps is _power_maps(ctx, zeta, n).
+    first) at zeta^(sign*i), i = 1..n.
 
-    Value i is sum_j digits(c_j) @ maps[sign*i*j mod n].  Each product is
-    reduced mod p after its d-term sum, before the n terms are added:
-    d*(p-1)^2 < 2^63 is the field's own cap, and n such sums need not be."""
-    p, n = ctx.char, len(coeffs)
+    One product digits @ stack gives digits(c_j) times the matrix of every
+    zeta^k, and value i is the sum over j of entry (j, sign*i*j mod n).  Each
+    product is reduced mod p after its d-term sum, before the n terms are
+    added: d*(p-1)^2 < 2^63 is the field's own cap, and n such sums need not
+    be, while n residues below p do.  Rows j go through the product a block
+    at a time, so the products never take more than about _STACK_PASS
+    entries."""
+    ctx._check(zeta)
+    p, d, n = ctx.char, ctx.deg, len(coeffs)
+    stack = _power_stack(ctx, zeta.digits, n)
     digits = np.array([c.digits for c in coeffs], np.int64)
-    j = np.arange(n)
-    values = np.empty((n, ctx.deg), np.int64)
-    for i in range(1, n + 1):
-        terms = np.einsum("jr,jrs->js", digits, maps[sign * i * j % n]) % p
-        values[i - 1] = terms.sum(axis=0) % p
-    return values
+    at = sign * np.arange(1, n + 1)[:, None] * np.arange(n) % n  # row i - 1: the k of each j
+    values = np.zeros((n, d), np.int64)
+    step = max(1, _STACK_PASS // ((n + 1) * d))
+    for s in range(0, n, step):
+        terms = (digits[s:s + step] @ stack % p).reshape(-1, n + 1, d)
+        values += terms[np.arange(len(terms)), at[:, s:s + step]].sum(axis=1)
+    return values % p
 
 
 def ms_forward(word, q, zeta: FFElem | None = None) -> MSVector:
@@ -135,8 +153,7 @@ def ms_forward(word, q, zeta: FFElem | None = None) -> MSVector:
     ctx = splitting_ctx(field, n)
     if zeta is None:
         zeta = nth_root_of_unity(ctx, n)
-    maps = _power_maps(ctx, zeta, n)
-    values = _at_powers(ctx, [ctx.embed_scalar(c) for c in word], maps, 1)
+    values = _at_powers(ctx, [ctx.embed_scalar(c) for c in word], zeta, 1)
     return MSVector(n, field, ctx, tuple(FFElem(tuple(v), ctx) for v in values.tolist()))
 
 
@@ -156,8 +173,7 @@ def ms_inverse(msv: MSVector, zeta: FFElem | None = None) -> tuple:
         ctx._check(v)
     if zeta is None:
         zeta = nth_root_of_unity(ctx, n)
-    maps = _power_maps(ctx, zeta, n)
-    sums = _at_powers(ctx, msv.values[-1:] + msv.values[:-1], maps, -1)
+    sums = _at_powers(ctx, msv.values[-1:] + msv.values[:-1], zeta, -1)
     sums = sums * pow(n % p, p - 2, p) % p
     word = []
     for acc in sums[-1:].tolist() + sums[:-1].tolist():

@@ -41,6 +41,19 @@ class FPoly:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
+    def _trusted(cls, field, coeffs) -> "FPoly":
+        """A polynomial whose coefficients are known to be codes of the field,
+        as the results of this class's arithmetic are: trailing zeros are
+        trimmed and nothing is checked.  Every input takes the constructor."""
+        i = len(coeffs)
+        while i and coeffs[i - 1] == 0:
+            i -= 1
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "coeffs", tuple(coeffs[:i]))
+        return out
+
+    @classmethod
     def zero(cls, field):
         return cls(field, ())
 
@@ -94,8 +107,8 @@ class FPoly:
         f = self.field
         a, b = self.coeffs, other.coeffs
         n = max(len(a), len(b))
-        return FPoly(f, tuple(f.sadd(a[i] if i < len(a) else 0,
-                                     b[i] if i < len(b) else 0) for i in range(n)))
+        return FPoly._trusted(f, [f.sadd(a[i] if i < len(a) else 0,
+                                         b[i] if i < len(b) else 0) for i in range(n)])
 
     def __sub__(self, other):
         self._same(other)
@@ -104,7 +117,7 @@ class FPoly:
     def __mul__(self, other):
         f = self.field
         if isinstance(other, int):
-            return FPoly(f, tuple(f.smul(c, other % f.q) for c in self.coeffs))
+            return FPoly._trusted(f, [f.smul(c, other % f.q) for c in self.coeffs])
         self._same(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -113,13 +126,13 @@ class FPoly:
         if f.e == 1:
             if len(a) * len(b) >= _NUMPY_LEN**2 and min(len(a), len(b)) * (f.p - 1) ** 2 < _INT64:
                 out = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-                return FPoly(f, tuple((out % f.p).tolist()))
+                return FPoly._trusted(f, (out % f.p).tolist())
             # prime field: accumulate integer products, reduce once
             for i, ai in enumerate(a):
                 if ai:
                     for j, bj in enumerate(b):
                         out[i + j] += ai * bj
-            return FPoly(f, tuple(c % f.p for c in out))
+            return FPoly._trusted(f, [c % f.p for c in out])
         add, mul, _ = _scalar_tables(f.p, f.e)
         for i, ai in enumerate(a):
             if not ai:
@@ -128,7 +141,7 @@ class FPoly:
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] = add[out[i + j]][row[bj]]
-        return FPoly(f, tuple(out))
+        return FPoly._trusted(f, out)
 
     __rmul__ = __mul__
 
@@ -154,7 +167,7 @@ class FPoly:
                     row = a[i - db:i + 1]
                     row += c * neg
                     row %= p
-            return FPoly(f, tuple(quot)), FPoly(f, tuple(a[:db].tolist()))
+            return FPoly._trusted(f, quot), FPoly._trusted(f, a[:db].tolist())
         if f.e == 1:
             p = f.p
             for i in range(len(a) - 1, db - 1, -1):
@@ -164,7 +177,7 @@ class FPoly:
                     quot[i - db] = c
                     for j in range(db + 1):
                         a[i - db + j] -= c * b[j]
-            return FPoly(f, tuple(quot)), FPoly(f, tuple(c % p for c in a[:db]))
+            return FPoly._trusted(f, quot), FPoly._trusted(f, [c % p for c in a[:db]])
         add, mul, _ = _scalar_tables(f.p, f.e)
         for i in range(len(a) - 1, db - 1, -1):
             c = a[i]
@@ -174,7 +187,7 @@ class FPoly:
                 row = mul[mul[c][f.p - 1]]  # times -c
                 for j in range(db + 1):
                     a[i - db + j] = add[a[i - db + j]][row[b[j]]]
-        return FPoly(f, tuple(quot)), FPoly(f, tuple(a[:db] if db else ()))
+        return FPoly._trusted(f, quot), FPoly._trusted(f, a[:db])
 
     def __mod__(self, other):
         return divmod(self, other)[1]

@@ -88,6 +88,21 @@ def test_canonical_modulus_is_first_irreducible_by_sympy(p, max_deg):
         assert _find_irreducible(p, d) == f
 
 
+# the splitting fields of the transform round trips (n <= 31, q = 2, 3, 5),
+# F_{3^30}, F_{3^16} and F_{5^16} among them, and some prime-power bases
+_BUILT_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 8), (3, 4), (3, 6), (3, 16),
+                 (3, 30), (5, 2), (5, 3), (5, 6), (5, 16), (4, 3), (8, 2), (9, 2)]
+
+
+@pytest.mark.parametrize("q,m", _BUILT_FIELDS)
+def test_primitive_element_has_full_order(q, m):
+    # the constructor certifies its primitive element once, by _order_is_full;
+    # mult_order is the second pass it no longer runs
+    base = PrimePower.from_int(q)
+    ctx = field_ctx(base.p, base.e, m)
+    assert mult_order(ctx.primitive_elt) == ctx.group_order
+
+
 def test_mult_order_examples():
     c7 = field_ctx(7, 1, 1)
     assert mult_order(c7.from_code(2)) == 3

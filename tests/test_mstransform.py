@@ -129,6 +129,71 @@ def test_zeta_must_be_a_primitive_root_of_the_length():
             ms_inverse(ms_forward(word, 2), zeta)
 
 
+def test_cached_stacks_alternate_between_roots():
+    # the canonical root and its power by turns on one context: every call
+    # must still match the per-point oracle, whichever stack it reads
+    n, q = 15, 2
+    ctx = splitting_ctx(q, n)
+    root = nth_root_of_unity(ctx, n)
+    rng = random.Random("alternate")
+    for zeta in [root, root ** 7, root, root ** 7, root ** 2, root]:
+        w = tuple(rng.randrange(q) for _ in range(n))
+        msv = ms_forward(w, q, zeta)
+        assert msv.values == tuple(_horner_at_powers(ctx, [ctx.embed_scalar(c) for c in w], zeta))
+        assert ms_inverse(msv, zeta) == w
+
+
+def test_refusals_are_not_cached():
+    w = (1, 0, 1, 1, 0, 0, 0)
+    ctx = splitting_ctx(2, 7)
+    for _ in range(2):  # a refusal raises inside the cached builder, so it is never stored
+        with pytest.raises(DomainError, match="primitive"):
+            ms_forward(w, 2, ctx.one())
+    # the same digits as the cached canonical root, from another context of degree 4
+    msv = ms_forward((1, 1) + (0,) * 13, 2)
+    root = nth_root_of_unity(msv.ctx, 15)
+    other = FFElem(root.digits, field_ctx(2, 2, 2))
+    with pytest.raises(DomainError, match="different field contexts"):
+        ms_forward((1, 1) + (0,) * 13, 2, other)
+    with pytest.raises(DomainError, match="different field contexts"):
+        ms_inverse(msv, other)
+
+
+def test_cached_stack_is_read_only():
+    ctx = splitting_ctx(3, 8)
+    root = nth_root_of_unity(ctx, 8)
+    stack = mstransform._power_stack(ctx, root.digits, 8)
+    assert stack.shape == (ctx.deg, 9 * ctx.deg)
+    with pytest.raises(ValueError):
+        stack[0, 0] = 1
+    assert mstransform._power_stack(ctx, root.digits, 8) is stack
+
+
+@pytest.mark.parametrize("n,q", [(4, 2**31 - 1), (4, 3037000493)])
+def test_roundtrip_near_the_digit_product_cap(n, q):
+    # d*(p-1)^2 just below 2^63 (d = 2, then d = 1): a sum of two unreduced
+    # products would wrap int64
+    ctx = splitting_ctx(q, n)
+    assert ctx.deg * (q - 1) ** 2 < 1 << 63 <= 2 * ctx.deg * (q - 1) ** 2
+    w = (q - 1, q - 2, 1, q - 1)
+    msv = ms_forward(w, q)
+    root = nth_root_of_unity(ctx, n)
+    assert msv.values == tuple(_horner_at_powers(ctx, [ctx.embed_scalar(c) for c in w], root))
+    assert ms_inverse(msv) == w
+
+
+def test_products_in_blocks_match_one_product(monkeypatch):
+    # rows of digits go through the stack a block at a time past _STACK_PASS
+    rng = random.Random("blocks")
+    cases = [(31, 3), (21, 5), (10, 9)]
+    words = [tuple(rng.randrange(q) for _ in range(n)) for n, q in cases]
+    whole = [ms_forward(w, q) for w, (_, q) in zip(words, cases)]
+    monkeypatch.setattr(mstransform, "_STACK_PASS", 1)
+    for w, (_, q), msv in zip(words, cases, whole):
+        assert ms_forward(w, q) == msv
+        assert ms_inverse(msv) == w
+
+
 def test_inverse_rejects_tampered_vector():
     msv = ms_forward((1, 0, 1, 1, 0, 0, 0), 2)
     ctx = msv.ctx

@@ -8,11 +8,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from uplab.cyclic import _codes, _lattice, _orbit_keys, bch_bound, ht_bound
+from uplab.cyclic import CyclicCode, _codes, _lattice, _orbit_keys, bch_bound, ht_bound
 from uplab.gf import (FIELD_ORDER_CAP, DomainError, InternalError, PrimePower, nth_root_of_unity,
                       ord_mod, splitting_ctx)
-from uplab.polyring import (_FACTOR_CAP, _NUMPY_LEN, FPoly, _coset_values, _recurrence_values,
-                            canonical_m1, cyclotomic_cosets, factor_xn_minus_1,
+from uplab.mstransform import transform_weight
+from uplab.polyring import (_FACTOR_CAP, _NUMPY_LEN, FPoly, _coset_values, _pow_mod,
+                            _recurrence_values, canonical_m1, cyclotomic_cosets, factor_xn_minus_1,
                             is_irreducible, poly_gcd, poly_to_word,
                             word_to_poly, xn_minus_1)
 
@@ -339,3 +340,68 @@ def test_prime_field_mul_divmod_match_sympy(case):
     sq, sr = sympy.div(sa, sb)
     assert (qt.coeffs, rm.coeffs) == (_from_sympy(sq, p), _from_sympy(sr, p))
 
+
+def _validated(f):
+    """f, checked to be what the public constructor would build: trimmed,
+    with Python int coefficients in range."""
+    assert all(type(c) is int and 0 <= c < f.field.q for c in f.coeffs), f
+    assert not f.coeffs or f.coeffs[-1] != 0, f
+    assert f == FPoly(f.field, f.coeffs)
+    return f
+
+
+def _poly_lists(q):
+    # short operands, and some long enough for the numpy rows of prime fields
+    size = st.sampled_from([(0, 8), (0, 8), (0, 8), (_NUMPY_LEN, _NUMPY_LEN + 8)])
+    return size.flatmap(lambda s: st.lists(st.integers(0, q - 1), min_size=s[0], max_size=s[1]))
+
+
+_TRUSTED_FIELDS = [2, 3, 4, 5, 8, 9, 262147]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_TRUSTED_FIELDS).flatmap(
+    lambda q: st.tuples(st.just(q), _poly_lists(q), _poly_lists(q), st.integers(0, 20))))
+def test_arithmetic_results_are_validated_polynomials(case):
+    # +, *, divmod, %, poly_gcd and _pow_mod build their results unchecked;
+    # each must equal the checked construction, and over a prime field sympy
+    q, a, b, e = case
+    field = PrimePower.of(q)
+    fa, fb = FPoly(field, tuple(a)), FPoly(field, tuple(b))
+    total, prod = _validated(fa + fb), _validated(fa * fb)
+    scaled = _validated(fa * (q - 1))
+    g = _validated(poly_gcd(fa, fb))
+    results = [total, prod, scaled, g]
+    if not fb.is_zero():
+        qt, rm = divmod(fa, fb)
+        results += [_validated(qt), _validated(rm), _validated(fa % fb)]
+    if fb.degree > 0:  # _pow_mod's callers reduce mod non-constants; x^0 mod 1 stays 1
+        results.append(_validated(_pow_mod(fa, e, fb)))
+    if field.e > 1:
+        return
+    sa, sb = _sympy_poly(fa.coeffs, q), _sympy_poly(fb.coeffs, q)
+    expect = [sa + sb, sa * sb, sa * (q - 1), sympy.gcd(sa, sb)]
+    if not fb.is_zero():
+        sq, sr = sympy.div(sa, sb)
+        expect += [sq, sr, sr]
+    if fb.degree > 0:
+        power = _sympy_poly((1,), q)
+        for _ in range(e):  # reduced at each step: sa**e itself is slow at degree 70
+            power = sympy.rem(power * sa, sb)
+        expect.append(sympy.rem(power, sb))
+    assert [f.coeffs for f in results] == [_from_sympy(f, q) for f in expect]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_inputs_are_still_validated(q):
+    field = PrimePower.of(q)
+    with pytest.raises(DomainError):
+        FPoly(field, (q,))
+    with pytest.raises(DomainError):
+        FPoly(field, (1, -1))
+    with pytest.raises(DomainError):
+        FPoly.from_string(field, "1" + "0123456789"[q])
+    with pytest.raises(DomainError):
+        transform_weight((1, q, 0, 0, 0), q)
+    with pytest.raises(DomainError):
+        CyclicCode.from_gen(5, q, "1" + "0123456789"[q])
