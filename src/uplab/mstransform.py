@@ -6,11 +6,6 @@ A length-n word f over F_q maps to the evaluation vector
 position n holds f(1), which always lies in the base field.  Values are
 indexed 1..n to keep that convention visible.
 
-The weight of the transform needs no splitting field.  Since gcd(n, q) = 1,
-x^n - 1 is squarefree, so f(zeta^i) = 0 exactly when x - zeta^i divides
-g = gcd(f, x^n - 1), and w(f-hat) = n - deg g: the dimension of the cyclic
-code that f generates.
-
 ms_forward and ms_inverse build the vector itself with F_p matrices.  With
 d the degree of the splitting field over F_p, y -> y * zeta is F_p-linear on
 the d base-p digits of y, so the d x d matrices of zeta^0, ..., zeta^n sit
@@ -21,15 +16,22 @@ zeta^(i*j mod n).  The inverse reads the powers of zeta^-1 off the same
 stack.  The stack also checks zeta: its first identity matrix past zeta^0
 must be that of zeta^n.
 
-The exhaustive scan reads deg g off remainders instead: deg g is the sum of
-|C| over the cyclotomic cosets C whose factor m_C divides f, and f mod m_C is
-F_p-linear in the base-p digits of the word, so the remainders of a block of
-words are those of its low symbols, tabled once, plus one remainder for its
-high symbols.  The factors m_C come from factor_xn_minus_1 in F_q[x], and
-deg g needs no coset labels, so the scan builds no splitting field.
-transform_weight, naive_up_check and the random scan keep the gcd over F_q,
-which needs no splitting field either: a random scan takes lengths whose
-splitting field lies past the field-order cap.
+The weight of the transform needs no splitting field.  Since gcd(n, q) = 1,
+x^n - 1 is squarefree, so f(zeta^i) = 0 exactly when x - zeta^i divides
+g = gcd(f, x^n - 1), and w(f-hat) = n - deg g: the dimension of the cyclic
+code that f generates.  Over F_2 transform_weight takes that gcd on
+bitmasks, which needs no factoring.  Over every other F_q, deg g is the sum
+of |C| over the cyclotomic cosets C whose factor m_C divides f, and
+f mod m_C is F_p-linear in the base-p digits of the word: the remainder map,
+built once per (n, q) from the recurrence x^(i+1) mod m_C =
+x * (x^i mod m_C) mod m_C and kept for the next call.  A word's weight is
+one product of its digits with the map and a test of each factor's
+remainder for zero; the random scan sends its words through the map a block
+at a time.  The factors come from factor_xn_minus_1 in F_q[x], so lengths
+past its cap are refused over F_q, q > 2; deg g needs no coset labels, so
+the weights build no splitting field.  The exhaustive scan reads the same
+map: the remainders of a block of words are those of its low symbols, tabled
+once, plus one remainder for its high symbols.
 """
 
 from __future__ import annotations
@@ -40,13 +42,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import (DomainError, FFElem, FieldCtx, PrimePower, from_digits,
+from .gf import (DomainError, FFElem, FieldCtx, PrimePower, _scalar_tables, from_digits,
                  nth_root_of_unity, splitting_ctx, to_digits)
-from .polyring import (_ALPHABET, FPoly, factor_xn_minus_1, poly_gcd, word_to_poly,
-                       xn_minus_1)
+from .polyring import _ALPHABET, _INT64, _matmul_dtype, factor_xn_minus_1
 _EXHAUSTIVE_CAP = 1 << 24
 _SCAN_BLOCK = 1 << 10  # words per block; 2^12 left ~0.1 MiB more peak RSS
-_STACK_PASS = 1 << 18  # int64 entries per product of coefficient digits and the power stack
+_STACK_PASS = 1 << 18  # int64 entries of the power stack or the remainder map per product
 
 
 @dataclass(frozen=True)
@@ -208,23 +209,48 @@ def naive_up_check(word, q) -> UPCheck:
 
 
 def transform_weight(word, q) -> int:
-    """Weight of the transform, n - deg gcd(f, x^n - 1), computed over F_q."""
+    """Weight of the transform, n - deg gcd(f, x^n - 1), computed over F_q:
+    a bitmask gcd over F_2, the remainder map over any other F_q, which
+    refuses n past the factoring cap."""
     field = PrimePower.of(q)
     word = tuple(word)
-    n = len(word)
-    _check_length(n, field)
-    if field.q == 2:
-        # F_2[x] as bitmasks: gcd by shifted XOR
-        bad = set(word) - {0, 1}
-        if bad:
-            raise DomainError(f"scalar code {bad.pop()} outside F_2")
-        a, b = (1 << n) | 1, from_digits(word, 2)
-        while b:
-            while a.bit_length() >= b.bit_length():
-                a ^= b << (a.bit_length() - b.bit_length())
-            a, b = b, a
-        return n - (a.bit_length() - 1)
-    return n - poly_gcd(word_to_poly(field, word), xn_minus_1(field, n)).degree
+    _check_length(len(word), field)
+    return int(_transform_weights(np.array([word]), field)[0])
+
+
+def _transform_weights(words: np.ndarray, field: PrimePower) -> np.ndarray:
+    """The transform weights of the rows of a 2-D array of scalar codes.
+
+    Over F_2 each row takes a bitmask gcd with x^n - 1, which needs no
+    factoring.  Over any other F_q the weight is the sum of |C| over the
+    cosets C whose factor m_C leaves a nonzero remainder, read off the
+    remainder map: the rows' base-p digits times the map, in passes of about
+    _STACK_PASS entries of the map, the products exact in _matmul_dtype."""
+    q, p, e = field.q, field.p, field.e
+    bad = words[(words < 0) | (words >= q)]
+    if bad.size:
+        raise DomainError(f"scalar code {bad[0]} outside F_{q}")
+    count, n = words.shape
+    if q == 2:
+        out = []
+        for word in words.tolist():  # F_2[x] as bitmasks: gcd by shifted XOR
+            a, b = (1 << n) | 1, from_digits(word, 2)
+            while b:
+                while a.bit_length() >= b.bit_length():
+                    a ^= b << (a.bit_length() - b.bit_length())
+                a, b = b, a
+            out.append(n - (a.bit_length() - 1))
+        return np.array(out)
+    rmap, sizes, starts = _remainder_map(n, field)
+    dtype = _matmul_dtype(n * e, p)
+    if e > 1:
+        words = (words[:, :, None] // p ** np.arange(e) % p).reshape(count, n * e)
+    digits = words.astype(dtype)
+    nonzero = np.empty((count, n * e), bool)
+    step = max(1, _STACK_PASS // (n * e))
+    for s in range(0, n * e, step):
+        nonzero[:, s:s + step] = digits @ rmap[:, s:s + step].astype(dtype) % p != 0
+    return np.logical_or.reduceat(nonzero, starts, axis=1) @ sizes
 
 
 @dataclass(frozen=True)
@@ -249,26 +275,44 @@ def _word_string(word) -> str:
     return "".join(_ALPHABET[c] for c in word)
 
 
+@lru_cache(maxsize=2)  # a random scan and the words of one length share one map
 def _remainder_map(n: int, field: PrimePower):
-    """The F_p-linear map from a word's base-p digits to its remainders.
+    """The F_p-linear map from a word's base-p digits to its remainders mod
+    the coset factors; the factor degrees, which are the coset sizes; and the
+    first column of each factor.
 
     Row i*e + j holds the base-p digits of p^j * x^i mod m_C for every coset
     factor m_C side by side, m_C taking deg m_C * e columns; the scalar code
-    p^j has the single digit 1 at place j.  Returns that matrix, the matrix
-    that turns a row of remainder digits into one code per factor (its
-    digits read in base p), and the factor degrees, which are the coset
-    sizes."""
+    p^j has the single digit 1 at place j.  The remainders x^i mod m_C come by
+    the recurrence x^(i+1) mod m = x * (x^i mod m) mod m: a shift, less the
+    dropped top coefficient times m, for all factors at once.  The map is
+    read-only and holds (n*e)^2 digits in the narrowest dtype that holds p - 1.
+    """
     p, e = field.p, field.e
     factors = factor_xn_minus_1(n, field)
-    rows = [[d for m in factors for c in (FPoly(field, (0,) * i + (p**j,)) % m).padded(m.degree)
-             for d in to_digits(c, p, e)] for i in range(n) for j in range(e)]
     sizes = np.array([m.degree for m in factors])
-    places = np.zeros((n * e, len(factors)), dtype=np.int32)
-    col = 0
-    for c, size in enumerate(sizes):
-        places[col:col + size * e, c] = p ** np.arange(size * e)
-        col += size * e
-    return np.array(rows, dtype=np.int32), places, sizes
+    starts = np.cumsum(sizes) - sizes
+    tops = np.repeat(starts + sizes - 1, sizes)  # column t: the top place of its factor
+    wide = np.int64 if (p - 1) ** 2 + p < _INT64 else object
+    neg = np.array([field.sneg(c) for m in factors for c in m.coeffs[:-1]], wide)  # monic m_C
+    if e > 1:
+        add, mul = (np.array(t) for t in _scalar_tables(p, e)[:2])
+    rmap = np.empty((n, e, n, e), np.min_scalar_type(p - 1))
+    places = p ** np.arange(e)
+    row = np.zeros(n, wide)
+    row[starts] = 1
+    for i in range(n):
+        if i:
+            lead = row[tops]
+            row = np.roll(row, 1)
+            row[starts] = 0
+            row = (row + lead * neg) % p if e == 1 else add[row, mul[lead, neg]]
+        for j in range(e):
+            rmap[i, j] = (row if e == 1 else mul[p**j, row])[:, None] // places % p
+    rmap, starts = rmap.reshape(n * e, n * e), starts * e
+    for a in (rmap, sizes, starts):
+        a.flags.writeable = False
+    return rmap, sizes, starts
 
 
 def _exhaustive_products(n: int, field: PrimePower):
@@ -283,7 +327,11 @@ def _exhaustive_products(n: int, field: PrimePower):
     at most n*e*(p-1)^2 and a code below p^(n*e) = q^n <= 2^24.
     """
     q, p, e = field.q, field.p, field.e
-    remainders, places, sizes = _remainder_map(n, field)
+    rmap, sizes, starts = _remainder_map(n, field)
+    remainders = rmap.astype(np.int32)
+    places = np.zeros((n * e, len(sizes)), dtype=np.int32)  # a remainder's digits read in base p
+    for c, (start, size) in enumerate(zip(starts, sizes)):
+        places[start:start + size * e, c] = p ** np.arange(size * e)
     k = 1
     while k < n and q ** (k + 1) <= _SCAN_BLOCK:
         k += 1
@@ -313,10 +361,11 @@ def naive_up_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
 
     Exhaustive mode covers all q^n - 1 words (q^n <= 2^24), in blocks of
     words whose vanishing on each coset is read off the remainder map;
-    random mode samples `trials` words and takes each transform weight by a
-    gcd over F_q, since at lengths past the cap the splitting field can be
-    too large to build.  The minimum is reported with its first word in the
-    order v = 1, 2, ..., symbol i of v being v // q^i % q.
+    random mode samples `trials` words and weighs them _SCAN_BLOCK at a time
+    as transform_weight does, with no splitting field, so over F_q, q > 2,
+    it takes n up to the factoring cap.  The minimum is reported with its
+    first word in the order v = 1, 2, ..., symbol i of v being v // q^i % q
+    (random mode: the order drawn).
     """
     field = PrimePower.of(q)
     if field.q > len(_ALPHABET):
@@ -334,20 +383,19 @@ def naive_up_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
 
     if trials < 1:
         raise DomainError(f"random mode needs trials >= 1, got {trials}")
+    if field.q > 2:
+        _remainder_map(n, field)  # refuses n past the factoring cap before a word is drawn
     rng = random.Random(seed)
-    best = None
-    best_word = None
-    equality = 0
-    violations = 0
-    for _ in range(trials):
-        word = to_digits(rng.randrange(1, field.q**n), field.q, n)
-        prod = sum(1 for c in word if c) * transform_weight(word, field)
-        if prod < n:
-            violations += 1
-        if prod == n:
-            equality += 1
-        if best is None or prod < best:
-            best = prod
-            best_word = word
+    best = best_word = None
+    equality = violations = 0
+    for start in range(0, trials, _SCAN_BLOCK):
+        words = np.array([to_digits(rng.randrange(1, field.q**n), field.q, n)
+                          for _ in range(min(_SCAN_BLOCK, trials - start))])
+        prod = np.count_nonzero(words, axis=1) * _transform_weights(words, field)
+        least = int(prod.min())
+        if best is None or least < best:
+            best, best_word = least, words[prod.argmin()].tolist()
+        equality += int(np.count_nonzero(prod == n))
+        violations += int(np.count_nonzero(prod < n))
     return UPScanReport(n, field.q, mode, trials, best, _word_string(best_word),
                         equality, violations)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import (DomainError, InternalError, PrimePower, _scalar_tables, nth_root_of_unity,
-                 ord_mod, splitting_ctx)
+from .gf import (DomainError, InternalError, PrimePower, _scalar_tables, factorize,
+                 from_digits, nth_root_of_unity, ord_mod, splitting_ctx, to_digits)
 
 _ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 _NUMPY_LEN = 64  # prime-field products and divisions this long run their rows in numpy
@@ -480,10 +480,15 @@ def canonical_m1(n: int, q) -> FPoly:
 
 
 def is_irreducible(f: FPoly) -> bool:
-    """Standard x^(q^k) gcd test over F_q; constants are rejected as input.
+    """Rabin's test over F_q (M. O. Rabin, "Probabilistic algorithms in
+    finite fields", SIAM J. Comput. 9, 1980); constants are rejected as input.
 
-    f of degree d is irreducible exactly when gcd(x^(q^k) - x, f) = 1 for
-    every k <= d/2, since a reducible f has a factor of degree at most d/2.
+    f of degree d is irreducible exactly when x^(q^d) = x mod f and
+    gcd(x^(q^(d/r)) - x, f) = 1 for every prime r dividing d: the first says
+    every irreducible factor has a degree dividing d, the second that none
+    has a degree dividing d/r.  The powers x^(q^k) mod f are the iterates of
+    one F_p matrix, _frobenius(f), on the digits of x, so the test takes one
+    gcd per prime factor of d.
     """
     d = f.degree
     if d < 1:
@@ -494,18 +499,68 @@ def is_irreducible(f: FPoly) -> bool:
     if f.coeffs[0] == 0:
         return False
     f = f.monic()
-    x = FPoly.x(field)
-    t = x
-    for _ in range(d // 2):
-        t = _pow_mod(t, field.q, f)  # x^(q^k) mod f, one q-th power per step
-        if poly_gcd(t - x, f).degree != 0:
+    p, e = field.p, field.e
+    frob = _frobenius(f)
+    x = np.zeros(d * e, frob.dtype)
+    x[e] = 1  # digit 0 of the coefficient of x
+    powers = [x]  # the digits of x^(q^k) mod f, k = 0..d
+    for _ in range(d):
+        powers.append(powers[-1] @ frob % p)
+    if not np.array_equal(powers[d], x):
+        return False
+    for r in factorize(d):
+        digits = ((powers[d // r] - x) % p).tolist()
+        t = FPoly._trusted(field, [from_digits(digits[i:i + e], p) for i in range(0, d * e, e)])
+        if poly_gcd(t, f).degree != 0:
             return False
     return True
 
 
+def _matmul_dtype(terms: int, p: int):
+    """The dtype in which numpy matrix products of residues mod p are exact
+    when every entry sums `terms` products: int64 while such sums stay below
+    2^63, and Python ints past it."""
+    return np.int64 if terms * (p - 1) ** 2 < _INT64 else object
+
+
+def _frobenius(f: FPoly) -> np.ndarray:
+    """The F_p matrix of t -> t^q on F_q[x]/(f), f monic of degree d and
+    q = p^e, on the d*e base-p digits of t, digit j of coefficient r at place
+    r*e + j.
+
+    (sum of t_r x^r)^q = sum of t_r x^(rq), since a^q = a on F_q, so row
+    r*e + j holds the digits of p^j x^(rq) mod f, the scalar code p^j having
+    the single digit 1 at place j.  Those are the first e rows of C^(rq), C
+    the companion matrix of y -> x*y, so each block of e rows is the one
+    before times C^q, and C^q comes by repeated squaring."""
+    field, d = f.field, f.degree
+    p, e = field.p, field.e
+    size = d * e
+    dtype = _matmul_dtype(size, p)
+    comp = np.zeros((size, size), dtype)
+    comp[:size - e, e:] = np.eye(size - e, dtype=dtype)  # p^j x^r -> p^j x^(r+1)
+    tail = [field.sneg(c) for c in f.coeffs[:d]]  # x^d = -(f_0 + ... + f_(d-1) x^(d-1)) mod f
+    for j in range(e):
+        comp[size - e + j] = [c for t in tail for c in to_digits(field.smul(t, p**j), p, e)]
+    step, k = None, field.q
+    while True:
+        if k & 1:
+            step = comp if step is None else step @ comp % p
+        k >>= 1
+        if not k:
+            break
+        comp = comp @ comp % p
+    frob = np.empty((size, size), dtype)
+    rows = np.eye(e, size, dtype=dtype)  # the digits of p^j, j < e
+    for r in range(d):
+        frob[r * e:(r + 1) * e] = rows
+        rows = rows @ step % p
+    return frob
+
+
 def _pow_mod(base: FPoly, e: int, m: FPoly) -> FPoly:
     """base^e mod m by square and multiply."""
-    result = FPoly.one(m.field)
+    result = FPoly.one(m.field) % m  # 0 when m is a constant
     base = base % m
     while e:
         if e & 1:

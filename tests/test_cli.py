@@ -397,3 +397,11 @@ def test_budget_bounds_the_enumeration_only(capsys):
     assert main(["mindist", "--n", "7", "--q", "2", "--gen", "1101", "--budget", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["method"], out["exact"], out["work"]) == ("bz", True, 4)
+
+
+def test_random_scan_past_the_factoring_cap_exit_2(capsys):
+    # a weight over F_3 reads the factors of x^n - 1; over F_2 the bitmask gcd needs none
+    assert main(["up-scan", "--n", "4097", "--q", "3", "--mode", "random", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "factoring cap 4096" in captured.err
+    assert main(["up-scan", "--n", "4097", "--q", "2", "--mode", "random", "--trials", "1"]) == 0

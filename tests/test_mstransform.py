@@ -183,15 +183,18 @@ def test_roundtrip_near_the_digit_product_cap(n, q):
 
 
 def test_products_in_blocks_match_one_product(monkeypatch):
-    # rows of digits go through the stack a block at a time past _STACK_PASS
+    # rows of digits go through the stack, and columns of the remainder map
+    # go through the weights, a block at a time past _STACK_PASS
     rng = random.Random("blocks")
     cases = [(31, 3), (21, 5), (10, 9)]
     words = [tuple(rng.randrange(q) for _ in range(n)) for n, q in cases]
     whole = [ms_forward(w, q) for w, (_, q) in zip(words, cases)]
+    weights = [transform_weight(w, q) for w, (_, q) in zip(words, cases)]
     monkeypatch.setattr(mstransform, "_STACK_PASS", 1)
-    for w, (_, q), msv in zip(words, cases, whole):
+    for w, (_, q), msv, wh in zip(words, cases, whole, weights):
         assert ms_forward(w, q) == msv
         assert ms_inverse(msv) == w
+        assert transform_weight(w, q) == wh == msv.weight
 
 
 def test_inverse_rejects_tampered_vector():
@@ -270,8 +273,15 @@ def test_scan_report_matches_evaluated_sweep(n, q):
                                "violations": 0}
 
 
-# The scan as it was before the remainder-map kernel: one gcd per word.  The
-# exhaustive reports must equal its reports, and random mode still is it.
+# The scan as it was before the remainder-map kernel: one gcd per word, taken
+# over F_q as transform_weight took it before the remainder map.  Both modes
+# must equal its reports.
+
+
+def _gcd_weight(word, q) -> int:
+    field = PrimePower.of(q)
+    n = len(word)
+    return n - poly_gcd(word_to_poly(field, word), xn_minus_1(field, n)).degree
 
 
 def _reference_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
@@ -300,7 +310,7 @@ def _reference_scan(n: int, q, mode: str = "exhaustive", trials: int = 10000,
     for word in gen:
         checked += 1
         w = sum(1 for c in word if c)
-        prod = w * transform_weight(word, field)
+        prod = w * _gcd_weight(word, field)
         if prod < n:
             violations += 1
         if prod == n:
@@ -323,28 +333,54 @@ def test_scan_matches_reference_engine(n, q):
     assert naive_up_scan(n, q).json_dict() == _reference_scan(n, q).json_dict()
 
 
-@pytest.mark.parametrize("n,q,trials,seed", [(15, 2, 40, 3), (7, 4, 30, 8), (29, 8, 3, 1)])
+@pytest.mark.parametrize("n,q,trials,seed", [(15, 2, 40, 3), (7, 4, 30, 8), (29, 8, 3, 1),
+                                              (15, 2, 300, 3), (13, 3, 100, 5)])
 def test_random_scan_matches_reference_engine(n, q, trials, seed):
-    # (29, 8) lies past the exhaustive cap and its splitting field past FIELD_ORDER_CAP
+    # (29, 8) lies past the exhaustive cap and its splitting field past
+    # FIELD_ORDER_CAP; the last two are the random scans of the golden transcript
     assert (naive_up_scan(n, q, "random", trials, seed).json_dict()
             == _reference_scan(n, q, "random", trials, seed).json_dict())
 
 
-@pytest.mark.parametrize("n,q", [(7, 2), (4, 5), (5, 4), (3, 8), (4, 9)])
+@pytest.mark.parametrize("n,q,trials,seed", [(7, 2, 50, 1), (13, 3, 100, 5), (8, 9, 40, 2)])
+def test_random_scan_blocks_match_one_block(monkeypatch, n, q, trials, seed):
+    # blocks of 7 words: the first argmin must survive later blocks that tie it
+    whole = naive_up_scan(n, q, "random", trials, seed)
+    monkeypatch.setattr(mstransform, "_SCAN_BLOCK", 7)
+    assert naive_up_scan(n, q, "random", trials, seed) == whole
+
+
+def test_random_scan_past_the_factoring_cap():
+    # over F_q, q > 2, a weight reads the factors of x^n - 1, which are refused
+    # past _FACTOR_CAP before any word is drawn; F_2 keeps its bitmask gcd
+    for q in (3, 4):
+        with pytest.raises(DomainError, match="factoring cap 4096"):
+            naive_up_scan(4097, q, "random", 10**9)
+        with pytest.raises(DomainError, match="factoring cap 4096"):
+            transform_weight((1,) + (0,) * 4096, q)
+    rep = naive_up_scan(4097, 2, "random", 2, 1)
+    assert rep.words_checked == 2 and rep.violations == 0
+
+
+@pytest.mark.parametrize("n,q", [(7, 2), (4, 5), (5, 4), (3, 8), (4, 9), (13, 3), (6, 262147)])
 def test_remainder_map_gives_the_remainders(n, q):
     # Rows that permuted the digits within each symbol would make the scan weigh
     # a bijective image of each word, of the same weight, so every scan report
-    # would stay as it is; only the remainders show such an error.  A code is
-    # the remainder's coefficients read in base q.
+    # would stay as it is; only the remainders show such an error.  Each
+    # factor's block of columns holds the base-p digits of its remainder.
     field = PrimePower.of(q)
-    remainders, places, sizes = _remainder_map(n, field)
+    rmap, sizes, starts = _remainder_map(n, field)
+    p, e = field.p, field.e
     factors = factor_xn_minus_1(n, q)
     assert sizes.tolist() == [m.degree for m in factors]
+    assert starts.tolist() == [e * sum(sizes[:i]) for i in range(len(sizes))]
+    assert rmap.dtype == np.min_scalar_type(p - 1) and not rmap.flags.writeable
     rng = random.Random(n * q)
     for v in [1, q**n - 1] + [rng.randrange(q**n) for _ in range(20)]:
         f = word_to_poly(field, to_digits(v, q, n))
-        codes = np.array(to_digits(v, field.p, n * field.e)) @ remainders % field.p @ places
-        assert codes.tolist() == [from_digits((f % m).padded(m.degree), q) for m in factors]
+        digits = np.array(to_digits(v, p, n * e), dtype=object) @ rmap.astype(object) % p
+        expect = [d for m in factors for c in (f % m).padded(m.degree) for d in to_digits(c, p, e)]
+        assert digits.tolist() == expect
 
 
 def test_exhaustive_scan_takes_no_gcd(monkeypatch):
@@ -376,6 +412,36 @@ def _words_in_cap(draw):
 def test_transform_weight_matches_evaluation(case):
     q, w = case
     assert transform_weight(w, q) == ms_forward(w, q).weight
+
+
+@st.composite
+def _words_any_length(draw):
+    # lengths past the field-order cap too, and a p whose digit sums are large
+    q = draw(st.sampled_from([3, 4, 5, 7, 8, 9, 262147]))
+    n = draw(st.integers(1, 40))
+    assume(math.gcd(n, q) == 1)
+    word = draw(st.lists(st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1),
+                         min_size=n, max_size=n))
+    return q, tuple(word)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_words_any_length())
+def test_transform_weight_matches_the_gcd(case):
+    # the remainder map against the gcd over F_q it replaced
+    q, w = case
+    assert transform_weight(w, q) == _gcd_weight(w, q)
+
+
+@pytest.mark.parametrize("q", [2**31 - 1, 2**61 - 1])
+def test_transform_weight_past_the_int64_products(q):
+    # n * (p-1)^2 >= 2^63: the products run on Python ints; at n = 2 and
+    # p = 2^31 - 1 they are int64 sums just below 2^63
+    rng = random.Random(q)
+    for n in (2, 3, 6):
+        for w in [(1,) * n, (1, q - 1) + (0,) * (n - 2)] + [
+                tuple(rng.randrange(q) for _ in range(n)) for _ in range(4)]:
+            assert transform_weight(w, q) == _gcd_weight(w, q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

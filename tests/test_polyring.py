@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from uplab.cyclic import CyclicCode, _codes, _lattice, _orbit_keys, bch_bound, ht_bound
 from uplab.gf import (FIELD_ORDER_CAP, DomainError, InternalError, PrimePower, nth_root_of_unity,
@@ -310,6 +312,65 @@ def test_is_irreducible_matches_sympy(p, max_deg):
             assert is_irreducible(FPoly(field, f)) == _sympy_poly(f, p).is_irreducible, f
 
 
+@pytest.mark.parametrize("p,degrees", [(5, (5, 6)),
+                                       pytest.param(7, (4, 5, 6), marks=pytest.mark.slow)])
+def test_is_irreducible_matches_sympy_through_degree_6(p, degrees):
+    # the degrees up to 6 that test_is_irreducible_matches_sympy leaves out; sympy's
+    # dense F_p routine, since building a sympy Poly per polynomial costs more than both
+    field = PrimePower.make(p)
+    for d in degrees:
+        for low in itertools.product(range(p), repeat=d):
+            f = low + (1,)
+            assert is_irreducible(FPoly(field, f)) == gf_irreducible_p(f[::-1], p, ZZ), f
+
+
+def _irreducible_by_gcds(f: FPoly) -> bool:
+    """The test is_irreducible ran before Rabin's: gcd(x^(q^k) - x, f) = 1
+    for every k <= d/2, since a reducible f has a factor of degree at most d/2."""
+    x, f = FPoly.x(f.field), f.monic()
+    t = x
+    for _ in range(f.degree // 2):
+        t = _pow_mod(t, f.field.q, f)
+        if poly_gcd(t - x, f).degree != 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_is_irreducible_matches_the_gcd_loop_over_prime_powers(q):
+    field = PrimePower.of(q)
+    for d in range(1, 5):
+        for low in itertools.product(range(q), repeat=d):
+            f = FPoly(field, low + (1,))
+            assert is_irreducible(f) == _irreducible_by_gcds(f), f
+    # a non-monic leading coefficient is scaled away first
+    f = FPoly(field, (1, 1, q - 1))
+    assert is_irreducible(f) == _irreducible_by_gcds(f)
+
+
+@pytest.mark.parametrize("n", [101, 199])
+def test_is_irreducible_matches_the_gcd_loop_at_high_degree(n):
+    # Phi_101 is irreducible over F_2 (degree 100, ord_101(2) = 100) and Phi_199
+    # splits into two factors of degree 99 = 9 * 11, so both prime divisors of
+    # the degree are tested; so are those factors with one coefficient changed
+    rng = random.Random(n)
+    for f in factor_xn_minus_1(n, 2)[1:]:
+        assert f.degree in (99, 100) and is_irreducible(f) and _irreducible_by_gcds(f)
+        for _ in range(3):
+            i = rng.randrange(1, f.degree)
+            g = FPoly(F2, f.coeffs[:i] + (1 - f.coeffs[i],) + f.coeffs[i + 1:])
+            assert is_irreducible(g) == _irreducible_by_gcds(g), g
+
+
+def test_is_irreducible_past_the_int64_products():
+    # d * (p-1)^2 >= 2^63: the Frobenius matrix takes Python-int products
+    p = 2**61 - 1
+    field = PrimePower.make(p)
+    for coeffs in [(3, 0, 1), (p - 3, 0, 1), (1, 1, 1), (2, 1, 0, 1), (5, 0, 0, 0, 1)]:
+        f = FPoly(field, coeffs)
+        assert is_irreducible(f) == _irreducible_by_gcds(f), coeffs
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_factor_xn_minus_1_matches_sympy(p):
     field = PrimePower.make(p)
@@ -375,7 +436,7 @@ def test_arithmetic_results_are_validated_polynomials(case):
     if not fb.is_zero():
         qt, rm = divmod(fa, fb)
         results += [_validated(qt), _validated(rm), _validated(fa % fb)]
-    if fb.degree > 0:  # _pow_mod's callers reduce mod non-constants; x^0 mod 1 stays 1
+    if not fb.is_zero():
         results.append(_validated(_pow_mod(fa, e, fb)))
     if field.e > 1:
         return
@@ -384,12 +445,19 @@ def test_arithmetic_results_are_validated_polynomials(case):
     if not fb.is_zero():
         sq, sr = sympy.div(sa, sb)
         expect += [sq, sr, sr]
-    if fb.degree > 0:
+    if not fb.is_zero():
         power = _sympy_poly((1,), q)
         for _ in range(e):  # reduced at each step: sa**e itself is slow at degree 70
             power = sympy.rem(power * sa, sb)
         expect.append(sympy.rem(power, sb))
     assert [f.coeffs for f in results] == [_from_sympy(f, q) for f in expect]
+
+
+def test_pow_mod_reduces_the_empty_product():
+    # x^0 is 1, which a constant modulus reduces to 0 like every other power
+    two, x = FPoly(F3, (2,)), FPoly.x(F3)
+    assert [_pow_mod(x, k, two).coeffs for k in (0, 1, 5)] == [(), (), ()]
+    assert _pow_mod(x, 0, FPoly(F3, (1, 1))).coeffs == (1,)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
