@@ -11,7 +11,8 @@ that follows the same two rules.
 Products: an element is its deg base-p digits, and every product convolves
 the two digit vectors and folds the high half back with a fixed matrix whose
 row i holds the digits of x^(deg+i) mod the modulus; every power is
-square-and-multiply.  Those digit products are int64, so a field needs
+square-and-multiply on the digit arrays, and powers of one base share its
+squarings.  Those digit products are int64, so a field needs
 deg*(p-1)^2 < 2^63 and is refused otherwise.
 
 Elements of F_{p^e} with e >= 2 appearing as *scalars* (e.g. polynomial
@@ -388,30 +389,39 @@ class FieldCtx:
         p = self.char
         return FFElem(tuple(-x % p for x in a.digits), self)
 
+    def _product(self, x, y):
+        """The product of two digit vectors: convolve, then fold the high half."""
+        p, deg = self.char, self.deg
+        c = np.convolve(x, y) % p
+        return (c[:deg] + c[deg:] @ self._fold) % p
+
     def mul(self, a: FFElem, b: FFElem) -> FFElem:
         self._check(a), self._check(b)
-        p, deg = self.char, self.deg
-        c = np.convolve(a.digits, b.digits) % p
-        return FFElem(tuple(((c[:deg] + c[deg:] @ self._fold) % p).tolist()), self)
+        return FFElem(tuple(self._product(a.digits, b.digits).tolist()), self)
 
     def pow(self, a: FFElem, k: int) -> FFElem:
+        """a^k for any integer k, by square-and-multiply (_pows); 0 to a
+        negative power is refused."""
+        return self._pows(a, [k])[0]
+
+    def _pows(self, a: FFElem, ks) -> list:
+        """[a^k for k in ks] by square-and-multiply on int64 digit arrays: the
+        squarings a^(2^i) are shared by every exponent, and each result becomes
+        an FFElem only at the end."""
         self._check(a)
         if not a:
-            if k == 0:
-                return self.one()
-            if k < 0:
+            if any(k < 0 for k in ks):
                 raise DomainError("0 has no negative powers")
-            return self.zero()
-        k %= self.group_order
-        if k == 0:
-            return self.one()
-        r = self.one()
-        while k:
-            if k & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return r
+            return [self.zero() if k else self.one() for k in ks]
+        ks = [k % self.group_order for k in ks]
+        acc = [None] * len(ks)  # None stands for 1
+        sq = np.array(a.digits, np.int64)
+        for i in range(max(ks, default=0).bit_length()):
+            sq = self._product(sq, sq) if i else sq
+            for j, k in enumerate(ks):
+                if k >> i & 1:
+                    acc[j] = sq if acc[j] is None else self._product(acc[j], sq)
+        return [self.one() if r is None else FFElem(tuple(r.tolist()), self) for r in acc]
 
     def inv(self, a: FFElem) -> FFElem:
         if not a:
@@ -441,10 +451,9 @@ class FieldCtx:
     # -- construction internals --
 
     def _order_is_full(self, a):
-        for ell in self.group_factors:
-            if self.pow(a, self.group_order // ell).code == 1:
-                return False
-        return True
+        """a^(N/l) != 1 for every prime l | N = q^m - 1, all in one _pows."""
+        n = self.group_order
+        return all(r.code != 1 for r in self._pows(a, [n // ell for ell in self.group_factors]))
 
     def _find_primitive(self):
         # the constants 1..p-1 have order dividing p - 1: none is primitive in an extension
@@ -523,8 +532,13 @@ def mult_order(a: FFElem) -> int:
     return t
 
 
+@lru_cache(maxsize=None)
 def nth_root_of_unity(ctx: FieldCtx, n: int) -> FFElem:
-    """Canonical primitive n-th root of unity: primitive_elt^((q^m-1)/n)."""
+    """Canonical primitive n-th root of unity: primitive_elt^((q^m-1)/n).
+
+    Cached per (context, n), so every transform and label of one length
+    shares one root; a refused n raises on every call, since lru_cache keeps
+    no exception."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if n == 1:
@@ -537,5 +551,4 @@ def nth_root_of_unity(ctx: FieldCtx, n: int) -> FFElem:
         raise DomainError(
             f"no order-{n} root in F_{q}^{ctx.ext_degree}; smallest valid extension degree is m={need}"
         )
-    z = ctx.pow(ctx.primitive_elt, ctx.group_order // n)
-    return z
+    return ctx.pow(ctx.primitive_elt, ctx.group_order // n)

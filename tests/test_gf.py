@@ -332,6 +332,101 @@ def test_field_product_is_the_fpoly_product(case):
     assert ctx.mul(x, y).digits == want.padded(ctx.deg)
 
 
+# Oracle for the powers: the former loop, square-and-multiply through ctx.mul
+# with one FFElem a product, where _pows shares the squarings on digit arrays.
+
+
+def _pow_by_products(ctx, a, k):
+    if not a:
+        if k < 0:
+            raise DomainError("0 has no negative powers")
+        return ctx.zero() if k else ctx.one()
+    k %= ctx.group_order
+    r = ctx.one()
+    while k:
+        if k & 1:
+            r = ctx.mul(r, a)
+        a = ctx.mul(a, a)
+        k >>= 1
+    return r
+
+
+# p = 2 and odd p, prime-power bases, orders up to 2^16 and past it; F_2, whose
+# unit group is trivial, and a field of order 100003^2 with one large prime
+_POW_CONTEXTS = ((2, 1, 1), (2, 1, 4), (2, 1, 20), (2, 1, 33), (2, 1, 63), (3, 1, 6),
+                 (3, 1, 30), (5, 1, 16), (7, 1, 3), (13, 1, 10), (2, 2, 3), (3, 2, 9),
+                 (3, 3, 2), (100003, 1, 2))
+
+
+@st.composite
+def _pow_cases(draw):
+    ctx = field_ctx(*draw(st.sampled_from(_POW_CONTEXTS)))
+    n = ctx.group_order
+    codes = st.sampled_from((0, 1, ctx.primitive_elt.code)) | st.integers(0, ctx.order - 1)
+    exponents = st.integers(-2 * n, 2 * n) | st.sampled_from((0, 1, n - 1, n, n + 1))
+    a, b = ctx.from_code(draw(codes)), ctx.from_code(draw(codes))
+    return ctx, a, b, draw(st.lists(exponents, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_pow_cases())
+def test_powers_are_the_products_loop(case):
+    ctx, a, b, ks = case
+    if not a and min(ks) < 0:
+        with pytest.raises(DomainError, match="negative powers"):
+            ctx._pows(a, ks)
+        ks = [abs(k) for k in ks]
+    want = [_pow_by_products(ctx, a, k) for k in ks]
+    assert [ctx.pow(a, k) for k in ks] == want
+    got = ctx._pows(a, ks)
+    assert got == want and all(type(d) is int for r in got for d in r.digits)
+    prod = ctx._product(np.array(a.digits, np.int64), np.array(b.digits, np.int64))
+    assert prod.dtype == np.int64 and tuple(prod.tolist()) == ctx.mul(a, b).digits
+
+
+@pytest.mark.parametrize("pem", [(2, 1, 4), (3, 1, 30), (100003, 1, 2)])
+def test_zero_to_a_negative_power_is_refused(pem):
+    ctx = field_ctx(*pem)
+    zero = ctx.zero()
+    for op in (lambda: ctx.pow(zero, -1), lambda: ctx._pows(zero, [0, 1, -ctx.group_order])):
+        with pytest.raises(DomainError, match="0 has no negative powers"):
+            op()
+    assert ctx._pows(zero, [0, 1, ctx.group_order]) == [ctx.one(), zero, zero]
+
+
+# The canonical root of unity, nth_root_of_unity(splitting_ctx(q, n), n), of
+# every cell of the transform round-trip grid (n <= 31, q = 2, 3, 5) and at
+# (41, 2), pinned so that no change to the powers or the cache can move them:
+# (q, n) -> (extension degree, code of the root).
+PINNED_ROOTS = {
+    (2, 3): (2, 2), (5, 3): (2, 7), (2, 5): (4, 8), (3, 5): (4, 59), (2, 7): (3, 2),
+    (3, 7): (6, 721), (5, 7): (6, 11159), (2, 9): (6, 6), (5, 9): (6, 15140), (2, 15): (4, 2),
+    (2, 17): (8, 53), (3, 17): (16, 4090798), (5, 17): (16, 49278634184), (2, 21): (6, 8),
+    (5, 21): (6, 726), (2, 31): (5, 2), (3, 31): (30, 150564286209028), (5, 31): (3, 20),
+    (2, 41): (20, 655594),
+}
+
+
+@pytest.mark.parametrize("qn", list(PINNED_ROOTS))
+def test_pinned_roots_of_unity(qn):
+    q, n = qn
+    ctx = splitting_ctx(q, n)
+    z = nth_root_of_unity(ctx, n)
+    assert (ctx.ext_degree, z.code) == PINNED_ROOTS[qn]
+    assert mult_order(z) == n
+    assert nth_root_of_unity(ctx, n) is z  # one root per (context, n)
+
+
+def test_refused_roots_are_refused_on_every_call():
+    ctx = field_ctx(2, 1, 4)
+    size = nth_root_of_unity.cache_info().currsize
+    for n, msg in ((0, "n must be >= 1"), (-5, "n must be >= 1"), (7, "m=3"), (2, "gcd")):
+        for _ in range(3):
+            with pytest.raises(DomainError, match=msg):
+                nth_root_of_unity(ctx, n)
+    assert nth_root_of_unity.cache_info().currsize == size
+
+
 @pytest.mark.parametrize("pem,other", [((2, 1, 4), (2, 1, 5)), ((2, 1, 20), (2, 1, 21)),
                                        ((3, 1, 2), (5, 1, 2)), ((3, 1, 16), (3, 1, 17))])
 def test_arithmetic_across_contexts_is_refused(pem, other):
@@ -339,6 +434,7 @@ def test_arithmetic_across_contexts_is_refused(pem, other):
     ctx = field_ctx(*pem)
     a, b = ctx.primitive_elt, field_ctx(*other).primitive_elt
     for op in (lambda: a - b, lambda: ctx.neg(b), lambda: ctx.pow(b, 2), lambda: ctx.inv(b),
+               lambda: ctx._pows(b, [1, 2]), lambda: ctx._pows(b, []),
                lambda: ctx.scalar_code(b)):
         with pytest.raises(DomainError, match="different field contexts"):
             op()
