@@ -87,7 +87,7 @@ class _Capped(Exception):
     """The search found a set as large as its cap: nothing larger exists."""
 
 
-def _max_free(n, masks, seed_witness=(), *, room=None, cap=None, dilate=False):
+def _max_free(n, masks, seed_witness=(), *, room=None, cap=None, dilate=False, floor=0):
     """Branch and bound for the largest subset containing no mask.
 
     Extends residues in increasing order, each one taken into the set before
@@ -102,9 +102,13 @@ def _max_free(n, masks, seed_witness=(), *, room=None, cap=None, dilate=False):
       Those sets come first in the order above, so the witness is the same.
     - Node bound.  The undecided residues v..n-1 form an interval, and at
       most room[n - v] of them can join the set; `room` defaults to the
-      interval's length.  szemeredi_r passes r_m([L]), the integer bound.
+      interval's length.
     - Cap.  The search stops once the best set reaches `cap`, a proven
       upper bound on the answer.
+    - Floor.  The best starts at `floor`, so only sets larger than it are
+      searched for.  The value returned is the size of the witness, which is
+      the answer when it exceeds `floor`; otherwise the answer is at most
+      `floor` and the witness is the seed, or {0}.
     """
     if any(mk.bit_count() <= 1 for mk in masks):
         # single points are patterns; only the empty set avoids them
@@ -126,6 +130,7 @@ def _max_free(n, masks, seed_witness=(), *, room=None, cap=None, dilate=False):
             cand |= 1 << ((x - shift) % n)
         if not any(mk & ~cand == 0 for mk in masks):
             best, best_mask = cand.bit_count(), cand
+    best = max(best, floor)
     nodes = 0
 
     def extend(smask, size, v):
@@ -159,7 +164,7 @@ def _max_free(n, masks, seed_witness=(), *, room=None, cap=None, dilate=False):
         except _Capped:
             pass
     witness = tuple(i for i in range(n) if best_mask >> i & 1)
-    return best, witness, nodes
+    return len(witness), witness, nodes
 
 
 @lru_cache(maxsize=None)
@@ -181,36 +186,54 @@ def _interval_r(m, length):
     return value, witness
 
 
-def szemeredi_r(m: int, n: int, *, seed_witness=()) -> RamseyResult:
+def _prime_cap(m, n):
+    """min over L of n*r_m([L])//L, an upper bound on r_m(n) at prime n.
+
+    Each of the n(n - 1) progressions of length L meets a progression-free
+    set in at most r_m([L]) points, and every point lies on L(n - 1) of them.
+    """
+    return min(n * _interval_r(m, L)[0] // L for L in range(1, n + 1))
+
+
+def szemeredi_r(m: int, n: int, *, seed_witness=(), floor: int = 0) -> RamseyResult:
     """Largest size of a subset of Z/nZ without a length-m progression.
 
+    `floor` asks only whether the answer exceeds it: the value is r_m(n)
+    when it is above `floor`, and otherwise only the size of a
+    progression-free set (the seed, or {0}) with r_m(n) <= `floor`.
+
     An integer progression inside an interval of residues is one mod n, so
-    at most r_m([L]) of L undecided residues join the set.  At prime n each
-    of the n(n - 1) progressions of length L meets the set in at most
-    r_m([L]) points and every point lies on L(n - 1) of them, which caps
-    the answer at n*r_m([L])//L.
+    at most r_m([L]) of L undecided residues join the set.  The set holds 0,
+    which follows n - 1 cyclically; so the L residues and 0 form an interval
+    of L + 1, of which at most r_m([L + 1]) lie in the set.  At prime n with
+    m >= 3 the search starts from {0, 1}, and the L residues, 0 and 1 form
+    one of L + 2.  At prime n the answer is capped at _prime_cap.
     """
     if not 1 <= m <= n:
         raise DomainError("need 1 <= m <= n")
     if n > R_CAP:
         raise DomainError(f"n = {n} beyond the search cap {R_CAP}")
     masks, collapsed = _ap_masks(m, n)
-    intervals = [_interval_r(m, L)[0] for L in range(n + 1)]
+    r = [_interval_r(m, L)[0] for L in range(n + 1)]
     prime = is_prime(n)
-    cap = min(n * intervals[L] // L for L in range(1, n + 1)) if prime else None
-    value, witness, nodes = _max_free(n, masks, seed_witness, room=intervals,
-                                      cap=cap, dilate=prime)
+    wrap = 2 if prime and m >= 3 else 1  # the residues the search starts from
+    room = [min(r[L + j] - j for j in range(min(wrap, n - L) + 1)) for L in range(n + 1)]
+    cap = _prime_cap(m, n) if prime else None
+    value, witness, nodes = _max_free(n, masks, seed_witness, room=room,
+                                      cap=cap, dilate=prime, floor=floor)
     return RamseyResult("ap", n, (m,), value, witness, nodes, collapsed)
 
 
-def szemeredi_grid(delta: int, s: int, n: int, *, seed_witness=()) -> RamseyResult:
-    """Largest size of a subset of Z/nZ without an A(delta, s) grid pattern."""
+def szemeredi_grid(delta: int, s: int, n: int, *, seed_witness=(),
+                   floor: int = 0) -> RamseyResult:
+    """Largest size of a subset of Z/nZ without an A(delta, s) grid pattern;
+    `floor` as in szemeredi_r."""
     if delta < 2 or s < 0 or s > n - delta:
         raise DomainError("need delta >= 2 and 0 <= s <= n - delta")
     if n > GRID_CAP:
         raise DomainError(f"n = {n} beyond the grid search cap {GRID_CAP}")
     masks, collapsed = _grid_masks(delta, s, n)
-    value, witness, nodes = _max_free(n, masks, seed_witness, dilate=is_prime(n))
+    value, witness, nodes = _max_free(n, masks, seed_witness, dilate=is_prime(n), floor=floor)
     return RamseyResult("grid", n, (delta, s), value, witness, nodes, collapsed)
 
 
@@ -219,15 +242,26 @@ def ap_scan_bound(n: int, *, with_rows: bool = False):
 
     Witnesses from one m seed the next search (r_m is nondecreasing in m).
     Every bound m + n - r_m(n) is at least m, so without rows the scan stops
-    once m reaches the best bound so far; with rows it solves every m.
+    once m reaches the best bound so far.  Without rows it also decides each
+    m instead of solving it: m lowers the best bound B only if r_m(n) >
+    m + n - B, which is the floor of its search, and at prime n it is skipped
+    when the floor reaches _prime_cap.  With rows it solves every m.
     """
+    if n < 1:
+        raise DomainError(f"n = {n}: the scan needs n >= 1")
+    prime = is_prime(n)
     rows = []
     best = None
     witness = ()
     for m in range(1, n + 1):
-        if not with_rows and best is not None and m >= best:
-            break
-        res = szemeredi_r(m, n, seed_witness=witness)
+        floor = 0
+        if not with_rows and best is not None:
+            if m >= best:
+                break
+            floor = m + n - best
+            if prime and floor >= _prime_cap(m, n):
+                continue
+        res = szemeredi_r(m, n, seed_witness=witness, floor=floor)
         witness = res.witness
         bound = m + n - res.value
         rows.append((m, res.value, bound))
@@ -275,7 +309,9 @@ def prop_ram_grid_lower(p: int, q: int, budget: int = DEFAULT_BUDGET) -> GridBou
     for delta in range(2, p + 1):
         witness = ()
         for s in range(0, p - delta + 1):
-            res = szemeredi_grid(delta, s, p, seed_witness=witness)
+            # only r > delta + s - 1 + p - best lowers the best bound
+            floor = 0 if best is None else delta + s - 1 + p - best
+            res = szemeredi_grid(delta, s, p, seed_witness=witness, floor=floor)
             witness = res.witness
             bound = delta + s - 1 + p - res.value
             if best is None or bound < best:

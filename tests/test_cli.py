@@ -219,6 +219,14 @@ def test_asym_commands():
     assert json.loads(r.stdout)["bound"] == 7
 
 
+@pytest.mark.parametrize("p", ["0", "-3"])
+def test_ram_bound_refuses_lengths_below_one(capsys, p):
+    # the scan over an empty range of m once printed a null bound and exited 0
+    assert main(["asym", "--what", "ram-bound", "--p", p, "--composite-ok"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n >= 1" in captured.err
+
+
 def test_weak_up_command():
     r = run_cli("weak-up", "--q", "2", "--eps", "0.2", "--lam", "0.6", "--pmax", "31")
     assert r.returncode == 0

@@ -217,10 +217,25 @@ def _reference_scan(n):
     return best, rows
 
 
+def _check_floors(search, expected):
+    # a floored search decides whether the answer exceeds its floor: above
+    # it, the reference's value and witness; at or below it, the size of its
+    # witness and never more than the answer
+    value = expected[0]
+    for floor in range(max(0, value - 3), value + 2):
+        res = search(floor)
+        if value > floor:
+            assert (res.value, res.witness, res.collapsed) == expected, floor
+        else:
+            assert res.value == len(res.witness) <= value, floor
+
+
 def _check_ap_against_reference(n):
     for m in range(1, n + 1):
         res = szemeredi_r(m, n)
-        assert (res.value, res.witness, res.collapsed) == _reference_ap(m, n), (m, n)
+        expected = _reference_ap(m, n)
+        assert (res.value, res.witness, res.collapsed) == expected, (m, n)
+        _check_floors(lambda f: szemeredi_r(m, n, floor=f), expected)
     best, rows = _reference_scan(n)
     assert ap_scan_bound(n, with_rows=True) == (best, rows)
     assert ap_scan_bound(n) == best
@@ -230,8 +245,9 @@ def _check_grid_against_reference(n):
     for delta in range(2, n + 1):
         for s in range(0, n - delta + 1):
             res = szemeredi_grid(delta, s, n)
-            assert (res.value, res.witness, res.collapsed) == _reference_grid(delta, s, n), \
-                (delta, s, n)
+            expected = _reference_grid(delta, s, n)
+            assert (res.value, res.witness, res.collapsed) == expected, (delta, s, n)
+            _check_floors(lambda f: szemeredi_grid(delta, s, n, floor=f), expected)
 
 
 @pytest.mark.parametrize("n", range(1, 20))
@@ -256,6 +272,23 @@ def test_reference_engine_to_23():
 def test_scan_bound_23():
     # computed by the reference engine (ap_scan_bound(23) before the pruning)
     assert ap_scan_bound(23) == 15
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_scan_refuses_lengths_below_one(n):
+    with pytest.raises(DomainError, match="n >= 1"):
+        ap_scan_bound(n)
+    with pytest.raises(DomainError, match="n >= 1"):
+        ap_scan_bound(n, with_rows=True)
+
+
+# the node counts are machine-independent: a weaker node bound shows in them.
+# At composite n only 0 follows the undecided residues cyclically (room
+# r_m([L + 1]) - 1); at prime n with m >= 3, 0 and 1 do (r_m([L + 2]) - 2).
+@pytest.mark.parametrize("m,n,nodes", [(4, 13, 214), (3, 17, 190), (5, 19, 9424),
+                                       (3, 14, 249), (4, 15, 1274), (5, 18, 3997)])
+def test_cyclic_interval_room_nodes(m, n, nodes):
+    assert szemeredi_r(m, n).nodes == nodes
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +401,24 @@ def test_prop_ram_rejects_composite():
     # the composite formula value itself is still computable and exceeds mu
     assert ap_scan_bound(9) == 8
     assert mu(9, 2).mu == 6
+
+
+def _grid_bound_unfloored(p):
+    # prop_ram_grid_lower's loop as it was before the floor: every r_{delta,s}(p) solved
+    best = None
+    for delta in range(2, p + 1):
+        witness = ()
+        for s in range(0, p - delta + 1):
+            res = szemeredi_grid(delta, s, p, seed_witness=witness)
+            witness = res.witness
+            bound = delta + s - 1 + p - res.value
+            best = bound if best is None else min(best, bound)
+    return best
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
+def test_floored_grid_bound_matches_unfloored(p):
+    assert prop_ram_grid_lower(p, 3 if p == 2 else 2).bound_grid == _grid_bound_unfloored(p)
 
 
 def test_grid_bound_report():
