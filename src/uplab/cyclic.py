@@ -288,11 +288,18 @@ def _strides(n: int) -> tuple:
 
 
 def _grid_bound(zeros, n: int, height: int) -> int:
-    """The best m + h, capped at n, over m x h grids of zeros
+    """The best m + h over m x h grids of zeros
     {a + k*b + r*c : k < m, r < h} with b, c coprime to n and h <= height: the
     stride-b runs of m in I_h = {x : x + r*c is a zero for all r < h}, walked
     twice round Z/n so that wrapping runs count.  b, c <= n/2 suffice: -b walks
-    the runs of b backwards, and I_h for -c is a translate of I_h for c."""
+    the runs of b backwards, and I_h for -c is a translate of I_h for c.
+
+    A branch and bound against the running best, the BCH value (h = 1) first.
+    While Z != Z/n and I_h is not empty, |I_(h+1)| < |I_h|: I_(h+1) and
+    I_(h+1) + c lie in I_h, so equal sizes would make I_h invariant under the
+    unit c, all of Z/n.  So m + h <= |I_h| + h never rises along a direction
+    and is at most |Z| + 1 <= n: a BCH value of |Z| + 1 is returned at once,
+    and a direction drops out once |I_h| + h <= best."""
     if n < 1:
         raise DomainError(f"length {n} is not positive")
     zs = set(zeros)
@@ -317,20 +324,23 @@ def _grid_bound(zeros, n: int, height: int) -> int:
             best = max(best, int((tops - gaps).max()))
         return best
 
-    # rows I_h, built for row_pass directions at once, wait under I_1 for a pass
-    best, stack, heights = 0, [member[None]], [1]
-    for d in range(0, len(units) if height > 1 else 0, row_pass):
+    best = longest([member[None]], [1])
+    if height == 1 or best > len(zs):
+        return best
+    # rows I_h, built for row_pass directions at once, wait for a pass
+    stack, heights = [], []
+    for d in range(0, len(units), row_pass):
         rows, c, h = member[None], units[d:d + row_pass, None], 2
         while len(c) and h <= height:
             rows = rows & member[(steps[:n] + (h - 1) * c) % n]
-            keep = rows.any(axis=1)
+            keep = rows.sum(axis=1) > max(0, best - h)  # |I_h| + h > best, I_h not empty
             rows, c = rows[keep], c[keep]
             if len(heights) + len(c) > row_pass:
                 best, stack, heights = max(best, longest(stack, heights)), [], []
             stack.append(rows)
             heights += [h] * len(c)
             h += 1
-    return min(max(best, longest(stack, heights)), n)
+    return max(best, longest(stack, heights)) if heights else best
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +460,8 @@ def _word_ops(field: PrimePower) -> tuple:
 def _subsets(k: int, m: int) -> tuple:
     """The m-subsets of range(k) in lexicographic order, one a row, and for
     i = 0..k the row where those whose least element is at least i start."""
-    subsets = np.array(list(itertools.combinations(range(k), m)), np.min_scalar_type(k)).reshape(-1, m)
+    rows = itertools.chain.from_iterable(itertools.combinations(range(k), m))
+    subsets = np.fromiter(rows, np.min_scalar_type(k), math.comb(k, m) * m).reshape(-1, m)
     return subsets, tuple(math.comb(k, m) - math.comb(k - i, m) for i in range(k + 1))
 
 

@@ -154,7 +154,8 @@ def ms_forward(word, q, zeta: FFElem | None = None) -> MSVector:
     ctx = splitting_ctx(field, n)
     if zeta is None:
         zeta = nth_root_of_unity(ctx, n)
-    values = _at_powers(ctx, [ctx.embed_scalar(c) for c in word], zeta, 1)
+    embed = {c: ctx.embed_scalar(c) for c in dict.fromkeys(word)}  # each distinct symbol once, in word order
+    values = _at_powers(ctx, [embed[c] for c in word], zeta, 1)
     return MSVector(n, field, ctx, tuple(FFElem(tuple(v), ctx) for v in values.tolist()))
 
 

@@ -17,8 +17,8 @@ from uplab.gf import DomainError, InternalError, PrimePower, from_digits, to_dig
 from uplab.polyring import FPoly, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
 from uplab.cyclic import (DEFAULT_BUDGET, _ENUM_CAP_T, _PASS, _TABLE, _WORD, CyclicCode,
                           DistanceResult, _bz_distance, _lattice, _min_weight_qp, _multiplier_reps,
-                          _orbit_keys, _scalar_ops, _scan_weight_w, _strides, _systematic_rows,
-                          _weight_congruence,
+                          _orbit_keys, _scalar_ops, _scan_weight_w, _strides, _subsets,
+                          _systematic_rows, _weight_congruence,
                           bch_bound, enumerate_codes, ht_bound, min_distance, mu, strong_up_witness)
 
 # deterministic property tests that leave no example database behind
@@ -442,8 +442,104 @@ def test_bounds_match_the_reference_past_one_pass():
     for _ in range(3):
         zeros = {i for i in range(511) if rng.random() < 0.5}
         assert bch_bound(zeros, 511) == _reference_bch_bound(zeros, 511), sorted(zeros)
-    zeros = rng.choice(cyclotomic_cosets(511, 2).cosets)  # ht is slow at 511: one coset
+    # a random set at 511 takes seconds even with the prune (the slow test below): one coset here
+    zeros = rng.choice(cyclotomic_cosets(511, 2).cosets)
     assert ht_bound(zeros, 511) == _reference_ht_bound(zeros, 511), sorted(zeros)
+
+
+@pytest.mark.slow
+def test_ht_matches_the_reference_on_a_half_density_set_at_511():
+    # about 3 s for ht_bound and 10 s for the reference engine; directions run
+    # one at a time, and most drop out at heights 3 to 5
+    rng = random.Random(511)
+    zeros = {i for i in range(511) if rng.random() < 0.5}
+    assert ht_bound(zeros, 511) == _reference_ht_bound(zeros, 511) == 17
+
+
+# ---------------------------------------------------------------------------
+# the prune of _grid_bound: a direction drops out once |I_h| + h <= best
+
+
+@st.composite
+def _dense_zero_sets(draw, max_n=40):
+    n = draw(st.integers(2, max_n))
+    density, rng = draw(st.floats(0.5, 0.95)), random.Random(draw(st.integers(0, 2**32)))
+    return n, {x for x in range(n) if rng.random() < density}
+
+
+@PROPERTY
+@given(_dense_zero_sets())
+@example((36, set(range(36)) - {0, 13}))  # composite n, long chains I_h in every direction
+def test_bounds_match_the_reference_on_dense_sets(case):
+    n, zeros = case
+    assert bch_bound(zeros, n) == _reference_bch_bound(zeros, n)
+    assert ht_bound(zeros, n) == _reference_ht_bound(zeros, n)
+
+
+@PROPERTY
+@given(_dense_zero_sets())
+def test_grid_rows_shrink_strictly_along_every_direction(case):
+    # I_(h+1) and I_(h+1) + c lie in I_h: equal sizes would make I_h closed
+    # under the unit c, so all of Z/n, which Z is not
+    n, zeros = case
+    assume(len(zeros) < n)
+    for c in (u for u in range(1, n) if math.gcd(u, n) == 1):
+        rows, h = set(zeros), 1  # I_1 = Z
+        while rows:
+            shorter = {x for x in rows if (x + h * c) % n in zeros}
+            assert len(shorter) < len(rows), (c, h)
+            rows, h = shorter, h + 1
+
+
+class _Directions(np.ndarray):
+    """The units of _strides, counting every read: up to n = 31 the scan of
+    I_1 reads the strides through first alone, so a read is a direction pass."""
+    reads = 0
+
+    def __getitem__(self, key):
+        _Directions.reads += 1
+        return np.asarray(self)[key]
+
+
+def _counted_strides(n):
+    units, steps, first = _strides(n)
+    return units.view(_Directions), steps, first
+
+
+@pytest.mark.parametrize("zeros,n", [(range(1, 15), 15), (range(14), 15), (range(1, 31), 31),
+                                     ((1, 3, 5, 7, 9), 21), ((2, 7, 20, 25), 28)])
+def test_a_bch_value_of_all_zeros_plus_one_reads_no_direction(zeros, n):
+    # no grid is worth more than |I_h| + h <= |Z| + 1
+    _Directions.reads = 0
+    with mock.patch.object(cyclic, "_strides", _counted_strides):
+        assert ht_bound(zeros, n) == bch_bound(zeros, n) == len(zeros) + 1
+    assert _Directions.reads == 0
+    with mock.patch.object(cyclic, "_strides", _counted_strides):
+        assert ht_bound((1, 2, 4), 7) == 3  # bch 3 <= |Z|: the directions are read
+    assert _Directions.reads > 0
+
+
+# (n, q, generator, bch, ht): the census codes (F_2, odd n <= 29; F_3, n <= 16)
+# whose best grid has height h > 1, so that its direction must survive the prune
+_HT_ABOVE_BCH = [(15, 2, "1011101", 3, 4), (15, 2, "11100111", 3, 4), (17, 2, "100111001", 4, 5),
+                 (17, 2, "111010111", 4, 5), (21, 2, "101111101", 3, 4), (21, 2, "1110000111", 3, 4),
+                 (21, 2, "100111011100011", 5, 6), (21, 2, "110001110111001", 5, 6),
+                 (8, 3, "11121", 3, 4), (8, 3, "12111", 3, 4), (16, 3, "12001221", 3, 4),
+                 (16, 3, "12210021", 3, 4), (16, 3, "22002211", 3, 4), (16, 3, "22110011", 3, 4),
+                 (16, 3, "101010201", 3, 4), (16, 3, "102010101", 3, 4)]
+
+
+def test_census_codes_with_ht_above_bch():
+    found = [(n, q, c.gen_string(), bch_bound(c.zeros, n), ht_bound(c.zeros, n))
+             for n, q in [(n, 2) for n in range(1, 30, 2)] + [(n, 3) for n in range(1, 17) if n % 3]
+             for c in _codes(n, q) if ht_bound(c.zeros, n) > bch_bound(c.zeros, n)]
+    assert found == _HT_ABOVE_BCH
+
+
+@pytest.mark.parametrize("n,q,gen,bch,ht", _HT_ABOVE_BCH)
+def test_ht_above_bch_against_the_oracle(n, q, gen, bch, ht):
+    zeros = CyclicCode.from_gen(n, q, gen).zeros
+    assert (bch_oracle(zeros, n), ht_oracle(zeros, n)) == (bch, ht)
 
 
 @pytest.mark.parametrize("zeros,n,message", [({7}, 7, "zero 7 "), ({0, 8, 9}, 7, "zero 9 "),
@@ -798,6 +894,17 @@ def scan_weight_w_oracle(rows, field, w):
             lead = add(sub[0], dot(np.asarray(head, np.int64), sub[1:w - t]))
             best = min(best, n - int((tail_words == neg(lead)).sum(axis=1).max()))
     return best
+
+
+def test_subsets_are_the_combinations_in_order():
+    for k in range(13):
+        for m in range(1, 5):
+            subsets, suffix = _subsets.__wrapped__(k, m)
+            rows = np.array(list(itertools.combinations(range(k), m)), np.min_scalar_type(k)).reshape(-1, m)
+            assert subsets.dtype == rows.dtype and subsets.shape == rows.shape, (k, m)
+            assert (subsets == rows).all(), (k, m)
+            for i in range(k + 1):  # rows from suffix[i] on: least element at least i
+                assert (subsets[suffix[i]:, 0] >= i).all() and (subsets[:suffix[i], 0] < i).all()
 
 
 @PROPERTY

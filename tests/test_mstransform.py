@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -141,6 +142,21 @@ def test_cached_stacks_alternate_between_roots():
         msv = ms_forward(w, q, zeta)
         assert msv.values == tuple(_horner_at_powers(ctx, [ctx.embed_scalar(c) for c in w], zeta))
         assert ms_inverse(msv, zeta) == w
+
+
+@pytest.mark.parametrize("q,word,bad", [(2, (1, 0, 1, 1, 0, 0, 2), 2), (4, (3, 0, 1, 5, 4, 5, 1), 5),
+                                        (3, (1, -1, 0, 3, 1, 0, 2), -1), (4, (4,), 4)])
+def test_ms_forward_embeds_each_symbol_once_and_checks_it(q, word, bad):
+    ctx = splitting_ctx(q, len(word))
+    with pytest.raises(DomainError, match=f"scalar code {bad} outside F_{q}"):  # the first bad symbol
+        ms_forward(word, q)
+    good = tuple(c % q for c in word)
+    with mock.patch.object(type(ctx), "embed_scalar", autospec=True,
+                           side_effect=type(ctx).embed_scalar) as embed:
+        msv = ms_forward(good, q)
+    assert [c for _, c in (call.args for call in embed.call_args_list)] == list(dict.fromkeys(good))
+    assert msv.values == tuple(_horner_at_powers(ctx, [ctx.embed_scalar(c) for c in good],
+                                                 nth_root_of_unity(ctx, len(word))))
 
 
 def test_refusals_are_not_cached():
